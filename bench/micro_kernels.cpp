@@ -11,9 +11,7 @@
 #include "bartercast/maxflow.hpp"
 #include "bartercast/protocol.hpp"
 #include "bartercast/subjective_graph.hpp"
-#include "bt/ledger.hpp"
 #include "bt/piece_picker.hpp"
-#include "bt/sharded_log_ledger.hpp"
 #include "bt/swarm.hpp"
 #include "bt/transfer_ledger.hpp"
 #include "core/node.hpp"
@@ -483,89 +481,6 @@ void BM_SwarmTick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SwarmTick)->Arg(8)->Arg(32);
-
-/// Ledger backend throughput, args = {peers, backend, mix} with backend
-/// 0 = map, 1 = sharded_log (4 shards). items/sec == transfers/sec.
-///
-/// mix:0 times the append path alone — the cost add_transfer puts on the
-/// tick's critical path; the sharded backend's compaction is drained
-/// outside the timer, the way production defers it to round barriers.
-/// mix:1 times the whole lifecycle (append + compaction + a point/total
-/// query mix), the honest total-work comparison.
-///
-/// The acceptance target is the mix:0 sharded_log row ≥2× the map row at
-/// 10⁶ peers: a map append is ~6 dependent cache misses (two per-peer hash
-/// maps plus four scattered arrays), a log append is two sequential
-/// vector pushes.
-void BM_LedgerThroughput(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto backend = static_cast<bt::LedgerBackend>(state.range(1));
-  const bool full_mix = state.range(2) != 0;
-  constexpr std::size_t kBatch = 1 << 16;
-  constexpr std::size_t kQueries = 1024;
-  // Pre-generated stream (RNG cost out of the measured loop); reusing it
-  // every iteration keeps the touched pair set — and so the map backend's
-  // node count — stable after the first iteration.
-  struct Xfer {
-    PeerId from, to;
-    double bytes;
-  };
-  std::vector<Xfer> stream(kBatch);
-  util::Rng rng(31);
-  for (auto& x : stream) {
-    x.from = static_cast<PeerId>(rng.next_below(n));
-    x.to = static_cast<PeerId>(rng.next_below(n));
-    if (x.to == x.from) x.to = static_cast<PeerId>((x.to + 1) % n);
-    x.bytes = rng.next_double(0.1, 10.0) * 1024 * 1024;
-  }
-  // For the append-path rows the sharded log gets a threshold above the
-  // batch size so no compaction lands inside the timed region.
-  std::unique_ptr<bt::Ledger> ledger;
-  if (backend == bt::LedgerBackend::kShardedLog && !full_mix) {
-    ledger = std::make_unique<bt::ShardedLogLedger>(n, /*shards=*/4,
-                                                    /*compact_threshold=*/
-                                                    4 * kBatch);
-  } else {
-    ledger = bt::make_ledger(backend, n, /*shards=*/4);
-  }
-  util::Rng query_rng(32);
-  for (auto _ : state) {
-    for (const Xfer& x : stream) {
-      ledger->add_transfer(x.from, x.to, x.bytes);
-    }
-    if (full_mix) {
-      ledger->flush();
-      double acc = 0;
-      for (std::size_t q = 0; q < kQueries; ++q) {
-        const auto p = static_cast<PeerId>(query_rng.next_below(n));
-        acc += ledger->total_uploaded_mb(p);
-        acc += ledger->uploaded_mb(p, static_cast<PeerId>((p + 1) % n));
-      }
-      benchmark::DoNotOptimize(acc);
-    } else {
-      state.PauseTiming();
-      ledger->flush();  // barrier-side compaction, untimed
-      state.ResumeTiming();
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-}
-BENCHMARK(BM_LedgerThroughput)
-    ->ArgNames({"peers", "backend", "mix"})
-    ->Args({10'000, 0, 0})
-    ->Args({10'000, 1, 0})
-    ->Args({100'000, 0, 0})
-    ->Args({100'000, 1, 0})
-    ->Args({1'000'000, 0, 0})
-    ->Args({1'000'000, 1, 0})
-    ->Args({10'000, 0, 1})
-    ->Args({10'000, 1, 1})
-    ->Args({100'000, 0, 1})
-    ->Args({100'000, 1, 1})
-    ->Args({1'000'000, 0, 1})
-    ->Args({1'000'000, 1, 1})
-    ->Unit(benchmark::kMillisecond);
 
 /// Cost of the telemetry hot path per instrumented operation, at each mode:
 /// arg 0 = off (null handles — the price every run pays), 1 = counters

@@ -34,6 +34,24 @@ fi
 
 echo "wrote $out"
 
+# -- host --------------------------------------------------------------------
+# google-benchmark's own context reports the *library's* build type, not
+# this tree's. Record the host core count and the tree's CMake build type so
+# a recording can be judged (and compared) on what actually ran.
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$build_dir/CMakeCache.txt")"
+python3 - "$out" "$(nproc)" "${build_type:-unknown}" <<'PYEOF'
+import json
+import sys
+
+path, nproc, build_type = sys.argv[1:4]
+with open(path) as f:
+    doc = json.load(f)
+doc["host"] = {"nproc": int(nproc), "build_type": build_type}
+with open(path, "w") as f:
+    json.dump(doc, f, indent=1)
+    f.write("\n")
+PYEOF
+
 if [[ "${TRIBVOTE_WALL_SKIP:-0}" == "1" ]]; then
   echo "TRIBVOTE_WALL_SKIP=1: skipping scenario wall-clock section"
   exit 0

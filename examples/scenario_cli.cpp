@@ -17,7 +17,6 @@
 //     --crowd N            flash-crowd colluders          (default 0)
 //     --core N             pre-converged core size        (default 20 if crowd>0)
 //     --shards N           population worker shards       (default TRIBVOTE_SHARDS or 1)
-//     --ledger NAME        ledger backend map|sharded_log (default TRIBVOTE_LEDGER or map)
 //     --gossip-cache on|off  vote-history cache + delta gossip
 //                            (default TRIBVOTE_GOSSIP_CACHE or on)
 //     --sample HOURS       sampling period                (default 2)
@@ -77,7 +76,6 @@ struct Options {
   std::size_t crowd = 0;
   std::size_t core = 0;
   std::size_t shards = sim::options::shards();
-  bt::LedgerBackend ledger = sim::options::ledger_backend();
   bool gossip_cache = sim::options::gossip_cache();
   Duration sample = 2 * kHour;
   std::string csv = "scenario_cli.csv";
@@ -92,7 +90,7 @@ struct Options {
                "usage: %s [--trace FILE] [--seed N] [--peers N] [--days N] "
                "[--threshold MB]\n"
                "          [--adaptive] [--newscast] [--crowd N] [--core N] "
-               "[--shards N] [--ledger map|sharded_log] "
+               "[--shards N] "
                "[--gossip-cache on|off]\n"
                "          [--sample HOURS] [--csv FILE]\n"
                "          [--loss P] [--delay-rate P] [--max-delay S] "
@@ -133,14 +131,6 @@ Options parse(int argc, char** argv) {
       opt.core = std::strtoull(need_value(i), nullptr, 10);
     } else if (!std::strcmp(arg, "--shards")) {
       opt.shards = std::strtoull(need_value(i), nullptr, 10);
-    } else if (!std::strcmp(arg, "--ledger")) {
-      const char* name = need_value(i);
-      const auto backend = bt::parse_ledger_backend(name);
-      if (!backend) {
-        std::fprintf(stderr, "unknown ledger backend: %s\n", name);
-        usage(argv[0]);
-      }
-      opt.ledger = *backend;
     } else if (!std::strcmp(arg, "--gossip-cache")) {
       const char* value = need_value(i);
       if (!std::strcmp(value, "on")) {
@@ -266,7 +256,6 @@ int main(int argc, char** argv) {
       opt.newscast ? core::PssKind::kNewscast : core::PssKind::kOracle;
   config.attack.crowd_size = opt.crowd;
   config.shards = opt.shards;
-  config.ledger = opt.ledger;
   config.vote.gossip_cache = opt.gossip_cache;
   config.faults = opt.faults;
   config.telemetry = opt.telemetry;
@@ -278,12 +267,12 @@ int main(int argc, char** argv) {
   core::ScenarioRunner runner(tr, config, opt.seed ^ 0xC11);
   // Everything needed to reproduce this run from its console output alone,
   // including the effective fault and telemetry configuration.
-  std::printf("run: seed=%llu scenario-seed=%llu shards=%zu ledger=%s "
+  std::printf("run: seed=%llu scenario-seed=%llu shards=%zu "
               "gossip_cache=%s threshold=%g pss=%s%s faults=%s "
               "telemetry=%s adversary=%s streaming=%s\n",
               static_cast<unsigned long long>(opt.seed),
               static_cast<unsigned long long>(opt.seed ^ 0xC11),
-              runner.shard_count(), bt::ledger_backend_name(opt.ledger),
+              runner.shard_count(),
               opt.gossip_cache ? "on" : "off", opt.threshold_mb,
               opt.newscast ? "newscast" : "oracle",
               opt.adaptive ? " adaptive" : "",

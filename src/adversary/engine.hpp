@@ -9,7 +9,7 @@
 // (plane seed, strategy, agent, round) via util::Rng::derive.
 //
 // The engine talks to the population through a small Host interface
-// (std::function callbacks + the ledger sink) instead of core::Node, so
+// (std::function callbacks + the transfer ledger) instead of core::Node, so
 // src/adversary has no dependency on src/core (core depends on adversary
 // for ScenarioConfig).
 #pragma once
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "adversary/config.hpp"
-#include "bt/ledger.hpp"
+#include "bt/transfer_ledger.hpp"
 #include "util/opinion.hpp"
 #include "util/rng.hpp"
 #include "vote/agent.hpp"
@@ -125,7 +125,7 @@ class AdversaryEngine {
     /// Online honest (non-adversary, non-legacy-crowd) ids, ascending.
     std::function<std::vector<PeerId>()> online_honest;
     /// Ground-truth transfer ledger (genuine credit lands here in bytes).
-    bt::LedgerSink* ledger = nullptr;
+    bt::TransferLedger* ledger = nullptr;
   };
 
   /// `stream` is the dedicated adversary RNG (derive it from the scenario
@@ -143,8 +143,8 @@ class AdversaryEngine {
   void on_vote_round(Time now);
 
   /// Serial hook, end of every BT round (after swarm ticks, before the
-  /// ledger flush): sybil region credit splitting and nuisance credit
-  /// drip.
+  /// gossip rounds read the ledger): sybil region credit splitting and
+  /// nuisance credit drip.
   void on_bt_round(Time now);
 
  private:

@@ -11,7 +11,7 @@ FrontPeerBarterAgent::FrontPeerBarterAgent(PeerId self,
       fake_mb_(fake_mb) {}
 
 std::vector<bartercast::BarterRecord> FrontPeerBarterAgent::outgoing_records(
-    const bt::LedgerView& ledger, Time now) const {
+    const bt::TransferLedger& ledger, Time now) const {
   // Genuine records first (a mole behaves normally toward honest peers to
   // carry the fake flow outward)...
   std::vector<bartercast::BarterRecord> records =

@@ -25,7 +25,7 @@ class FrontPeerBarterAgent final : public bartercast::BarterAgent {
                        std::vector<PeerId> clique, double fake_mb);
 
   [[nodiscard]] std::vector<bartercast::BarterRecord> outgoing_records(
-      const bt::LedgerView& ledger, Time now) const override;
+      const bt::TransferLedger& ledger, Time now) const override;
 
  private:
   std::vector<PeerId> clique_;

@@ -5,7 +5,7 @@
 namespace tribvote::bartercast {
 
 std::vector<BarterRecord> BarterAgent::outgoing_records(
-    const bt::LedgerView& ledger, Time now) const {
+    const bt::TransferLedger& ledger, Time now) const {
   if (ledger.version(self_) == reported_version_) return report_cache_;
   reported_version_ = ledger.version(self_);
   std::vector<bt::TransferRecord> direct = ledger.direct_view(self_);
@@ -27,7 +27,7 @@ std::vector<BarterRecord> BarterAgent::outgoing_records(
   return report_cache_;
 }
 
-void BarterAgent::sync_direct(const bt::LedgerView& ledger, Time now) {
+void BarterAgent::sync_direct(const bt::TransferLedger& ledger, Time now) {
   if (ledger.version(self_) == synced_version_) return;
   synced_version_ = ledger.version(self_);
   for (const auto& r : ledger.direct_view(self_)) {

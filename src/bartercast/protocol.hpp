@@ -15,9 +15,8 @@
 // approximation.
 //
 // Honest agents report truthfully from the shared ledger's per-peer direct
-// view (through the read-only LedgerView half of the ledger API, so any
-// backend serves); the attack module subclasses the reporting hook to
-// model front-peer collusion (fabricated records).
+// view; the attack module subclasses the reporting hook to model
+// front-peer collusion (fabricated records).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +25,7 @@
 
 #include "bartercast/maxflow.hpp"
 #include "bartercast/subjective_graph.hpp"
-#include "bt/ledger.hpp"
+#include "bt/transfer_ledger.hpp"
 #include "util/ids.hpp"
 #include "util/time.hpp"
 
@@ -57,11 +56,11 @@ class BarterAgent {
   /// largest volumes first, truncated to the message cap. Virtual so attack
   /// models can fabricate claims.
   [[nodiscard]] virtual std::vector<BarterRecord> outgoing_records(
-      const bt::LedgerView& ledger, Time now) const;
+      const bt::TransferLedger& ledger, Time now) const;
 
   /// Refresh the agent's own direct edges from its local statistics.
   /// Cheap no-op when the ledger reports no change since the last sync.
-  void sync_direct(const bt::LedgerView& ledger, Time now);
+  void sync_direct(const bt::TransferLedger& ledger, Time now);
 
   /// Merge a counterpart's gossip message. Records not adjacent to the
   /// claimed sender are dropped record-wise (a node may only report about

@@ -15,7 +15,7 @@ constexpr double kWindowFloor = 1024.0;
 
 Swarm::Swarm(const trace::SwarmSpec& spec,
              std::span<const trace::PeerProfile> peers,
-             LedgerSink& ledger, BandwidthAllocator& bandwidth,
+             TransferLedger& ledger, BandwidthAllocator& bandwidth,
              util::Rng rng, StreamingConfig streaming)
     : spec_(spec),
       peers_(peers),

@@ -12,9 +12,8 @@
 // free-riders leave permanently on completion. Firewalled peers can only
 // exchange data when at least one endpoint is connectable.
 //
-// Every transferred byte lands in the shared ledger (via its LedgerSink
-// write half) — the sole signal BarterCast (and hence the experience
-// function) consumes.
+// Every transferred byte lands in the shared ledger — the sole signal
+// BarterCast (and hence the experience function) consumes.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +26,9 @@
 #include "bt/bandwidth.hpp"
 #include "bt/bitfield.hpp"
 #include "bt/choker.hpp"
-#include "bt/ledger.hpp"
 #include "bt/piece_picker.hpp"
 #include "bt/streaming.hpp"
+#include "bt/transfer_ledger.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -56,7 +55,7 @@ class Swarm {
   /// `streaming` defaults to off, which preserves the download workload
   /// byte-for-byte.
   Swarm(const trace::SwarmSpec& spec,
-        std::span<const trace::PeerProfile> peers, LedgerSink& ledger,
+        std::span<const trace::PeerProfile> peers, TransferLedger& ledger,
         BandwidthAllocator& bandwidth, util::Rng rng,
         StreamingConfig streaming = {});
 
@@ -142,7 +141,7 @@ class Swarm {
 
   trace::SwarmSpec spec_;
   std::span<const trace::PeerProfile> peers_;
-  LedgerSink* ledger_;
+  TransferLedger* ledger_;
   BandwidthAllocator* bandwidth_;
   util::Rng rng_;
   double piece_bytes_;

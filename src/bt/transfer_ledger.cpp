@@ -8,7 +8,7 @@ namespace {
 constexpr double kBytesPerMb = 1024.0 * 1024.0;
 }
 
-MapLedger::MapLedger(std::size_t n_peers)
+TransferLedger::TransferLedger(std::size_t n_peers)
     : n_(n_peers),
       up_bytes_(n_peers),
       down_bytes_(n_peers),
@@ -16,7 +16,7 @@ MapLedger::MapLedger(std::size_t n_peers)
       total_down_(n_peers, 0.0),
       version_(n_peers, 0) {}
 
-void MapLedger::add_transfer(PeerId from, PeerId to, double bytes) {
+void TransferLedger::add_transfer(PeerId from, PeerId to, double bytes) {
   assert(from < n_ && to < n_ && from != to);
   assert(bytes >= 0);
   up_bytes_[from][to] += bytes;
@@ -27,24 +27,24 @@ void MapLedger::add_transfer(PeerId from, PeerId to, double bytes) {
   ++version_[to];
 }
 
-double MapLedger::uploaded_mb(PeerId from, PeerId to) const {
+double TransferLedger::uploaded_mb(PeerId from, PeerId to) const {
   assert(from < n_ && to < n_);
   const auto& row = up_bytes_[from];
   const auto it = row.find(to);
   return it == row.end() ? 0.0 : it->second / kBytesPerMb;
 }
 
-double MapLedger::total_uploaded_mb(PeerId peer) const {
+double TransferLedger::total_uploaded_mb(PeerId peer) const {
   assert(peer < n_);
   return total_up_[peer] / kBytesPerMb;
 }
 
-double MapLedger::total_downloaded_mb(PeerId peer) const {
+double TransferLedger::total_downloaded_mb(PeerId peer) const {
   assert(peer < n_);
   return total_down_[peer] / kBytesPerMb;
 }
 
-std::vector<TransferRecord> MapLedger::direct_view(PeerId p) const {
+std::vector<TransferRecord> TransferLedger::direct_view(PeerId p) const {
   assert(p < n_);
   std::vector<TransferRecord> records;
   for (const auto& [to, bytes] : up_bytes_[p]) {

@@ -6,7 +6,7 @@
 #include "metrics/cev.hpp"
 #include "metrics/degradation.hpp"
 #include "moderation/moderation.hpp"
-#include "vote/encounter.hpp"
+#include "vote/agent.hpp"
 
 namespace tribvote::core {
 
@@ -16,11 +16,11 @@ namespace {
 constexpr double kColluderUploadKbps = 1.0;
 constexpr double kColluderDownloadKbps = 1024.0;
 
-/// Fold a receive verdict into the run counters exactly as the fault-free
-/// inline code did: kAccepted is the old `accepted`, and kInexperienced is
-/// the only other verdict a non-empty message produces in a fault-free run
-/// (pairing never bounces a message back to its signer, and every agent —
-/// colluders included — signs with its own key).
+/// Fold a receive verdict into the run counters. kAccepted and
+/// kInexperienced are the only verdicts an undamaged non-empty message
+/// produces (pairing never bounces a message back to its signer, and every
+/// agent — colluders included — signs with its own key); damaged payloads
+/// are counted by the fault plane instead.
 void note_vote_receive(RunStats& st, vote::ReceiveResult r) {
   if (r == vote::ReceiveResult::kAccepted) {
     ++st.votes_accepted;
@@ -103,11 +103,8 @@ ScenarioRunner::ScenarioRunner(trace::Trace trace, ScenarioConfig config,
     : trace_(std::move(trace)),
       config_(config),
       rng_(seed),
-      ledger_(bt::make_ledger(
-          config.ledger,
-          trace_.peers.size() + config.attack.crowd_size +
-              config.adversary.total_agents(),
-          std::max<std::size_t>(1, config.shards))),
+      ledger_(trace_.peers.size() + config.attack.crowd_size +
+              config.adversary.total_agents()),
       online_(trace_.peers.size() + config.attack.crowd_size +
               config.adversary.total_agents()),
       scripted_votes_(trace_.peers.size() + config.attack.crowd_size +
@@ -404,7 +401,7 @@ adversary::AdversaryEngine::Host ScenarioRunner::make_adversary_host() {
                   [n = trace_.peers.size()](PeerId id) { return id >= n; });
     return honest;
   };
-  host.ledger = ledger_.get();
+  host.ledger = &ledger_;
   return host;
 }
 
@@ -432,7 +429,7 @@ void ScenarioRunner::cast_vote_now(PeerId voter, ModeratorId moderator,
 }
 
 void ScenarioRunner::preseed_transfer(PeerId from, PeerId to, double mb) {
-  ledger_->add_transfer(from, to, mb * 1024.0 * 1024.0);
+  ledger_.add_transfer(from, to, mb * 1024.0 * 1024.0);
 }
 
 void ScenarioRunner::preload_ballot(PeerId owner, PeerId voter,
@@ -602,7 +599,7 @@ void ScenarioRunner::peer_offline(PeerId id) {
 
 void ScenarioRunner::swarm_created(const trace::SwarmSpec& spec) {
   auto swarm = std::make_unique<bt::Swarm>(
-      spec, std::span<const trace::PeerProfile>(trace_.peers), *ledger_,
+      spec, std::span<const trace::PeerProfile>(trace_.peers), ledger_,
       *bandwidth_, rng_.derive(0x7377 ^ spec.id), config_.streaming);
   swarm->probes = swarm_probes_;
   swarm->on_complete = [this, sid = spec.id](PeerId peer) {
@@ -632,18 +629,13 @@ void ScenarioRunner::swarm_join(const trace::SwarmJoin& join) {
 
 void ScenarioRunner::bt_round() {
   // Swarm ticks write the shared ledger and bandwidth allocator, so the BT
-  // loop stays serial (the append-log backend's per-lane sinks exist for a
-  // future sharded swarm tick). The flush publishes any buffered appends —
-  // a no-op on the map backend, a shard-log compaction on the append-log
-  // backend — so the concurrent read-only gossip rounds that follow see
-  // compacted rows.
+  // loop stays serial; the gossip rounds that follow only read the ledger.
   telemetry::Span span(telemetry_.get(), "bt.round");
   const double dt = static_cast<double>(config_.periods.bt_round);
   for (auto& [sid, swarm] : swarms_) swarm->tick(dt);
-  // Adversary credit drips land before the flush, so the gossip rounds that
-  // follow see the plane's ledger writes alongside the swarms'.
+  // Adversary credit drips land here too, so the gossip rounds that follow
+  // see the plane's ledger writes alongside the swarms'.
   if (adversary_) adversary_->on_bt_round(sim_.now());
-  ledger_->flush();
 }
 
 std::vector<sim::Encounter> ScenarioRunner::pair_round() {
@@ -684,8 +676,8 @@ void ScenarioRunner::vote_round() {
   // One BallotBox (+ conditional VoxPopuli) exchange per pair (Fig. 3
   // active thread), fanned out across the shard kernel. The exchange body
   // touches only the two endpoint nodes, its lane's counter block and the
-  // fault plane's lane-local buffers. With faults off the legacy body runs
-  // verbatim and the plane is never consulted.
+  // fault plane's lane-local buffers. With faults off every verdict is the
+  // all-pass default, and the body runs the fault-free encounter.
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "vote.round");
   // Adversary hook before pairing: presence flips apply before the round
@@ -693,44 +685,6 @@ void ScenarioRunner::vote_round() {
   // serial, so the round stays shard-invariant.
   if (adversary_) adversary_->on_vote_round(now);
   const std::vector<sim::Encounter> encounters = pair_round();
-  if (!fault_plane_->enabled()) {
-    kernel_->run_round(
-        encounters, [this, now](const sim::Encounter& e, std::size_t lane) {
-          RunStats& st = lane_stats_[lane];
-          Node& ni = *nodes_[e.initiator];
-          Node& nj = *nodes_[e.responder];
-
-          // The shared transport-agnostic encounter core (the same function
-          // the socket plane's ExchangeEngine mirrors frame-by-frame); the
-          // runner keeps the probe accounting. Counter adds are commutative
-          // sums into lane blocks, so folding them after both legs is
-          // bit-identical to the legacy interleaved order.
-          const vote::VoteEncounterOutcome enc =
-              vote::vote_encounter(ni.vote(), nj.vote(), now);
-          probes_.vote_list_size.observe(
-              static_cast<double>(enc.forward.list_size));
-          note_vote_receive(st, enc.forward.result);
-          note_gossip_leg(enc.forward);
-          probes_.vote_list_size.observe(
-              static_cast<double>(enc.reverse.list_size));
-          note_vote_receive(st, enc.reverse.result);
-          note_gossip_leg(enc.reverse);
-          if (enc.vox_requested) {
-            if (enc.vox_topk == 0) {
-              ++st.vp_requests_null;
-            } else {
-              ++st.vp_requests_answered;
-              probes_.vox_topk_size.observe(
-                  static_cast<double>(enc.vox_topk));
-            }
-          }
-          ++st.vote_exchanges;
-        });
-    merge_lane_stats();
-    telemetry_round_sample();
-    return;
-  }
-
   const std::vector<sim::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kVote, encounters);
   kernel_->run_round(
@@ -868,21 +822,6 @@ void ScenarioRunner::moderation_round() {
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "moderation.round");
   const std::vector<sim::Encounter> encounters = pair_round();
-  if (!fault_plane_->enabled()) {
-    kernel_->run_round(
-        encounters, [this, now](const sim::Encounter& e, std::size_t lane) {
-          const moderation::ExchangeStats xs = moderation::exchange(
-              nodes_[e.initiator]->mod(), nodes_[e.responder]->mod(), now);
-          probes_.mod_batch_size.observe(
-              static_cast<double>(xs.sent_initiator));
-          probes_.mod_batch_size.observe(
-              static_cast<double>(xs.sent_responder));
-          ++lane_stats_[lane].moderation_exchanges;
-        });
-    merge_lane_stats();
-    return;
-  }
-
   const std::vector<sim::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kModeration, encounters);
   kernel_->run_round(
@@ -945,31 +884,6 @@ void ScenarioRunner::barter_round() {
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "barter.round");
   const std::vector<sim::Encounter> encounters = pair_round();
-  if (!fault_plane_->enabled()) {
-    kernel_->run_round(
-        encounters, [this, now](const sim::Encounter& e, std::size_t lane) {
-          bartercast::BarterAgent& bi = nodes_[e.initiator]->barter();
-          bartercast::BarterAgent& bj = nodes_[e.responder]->barter();
-          bi.sync_direct(*ledger_, now);
-          bj.sync_direct(*ledger_, now);
-          // Same evaluation order as the historical one-liners: bj's
-          // outgoing batch is built only after it received bi's.
-          const std::vector<bartercast::BarterRecord> recs_i =
-              bi.outgoing_records(*ledger_, now);
-          probes_.barter_batch_size.observe(
-              static_cast<double>(recs_i.size()));
-          bj.receive(e.initiator, recs_i);
-          const std::vector<bartercast::BarterRecord> recs_j =
-              bj.outgoing_records(*ledger_, now);
-          probes_.barter_batch_size.observe(
-              static_cast<double>(recs_j.size()));
-          bi.receive(e.responder, recs_j);
-          ++lane_stats_[lane].barter_exchanges;
-        });
-    merge_lane_stats();
-    return;
-  }
-
   const std::vector<sim::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kBarter, encounters);
   kernel_->run_round(
@@ -980,12 +894,12 @@ void ScenarioRunner::barter_round() {
         sim::FaultStats& fs = fault_plane_->lane_stats(lane);
         bartercast::BarterAgent& bi = nodes_[e.initiator]->barter();
         bartercast::BarterAgent& bj = nodes_[e.responder]->barter();
-        bi.sync_direct(*ledger_, now);
+        bi.sync_direct(ledger_, now);
         if (f.drop_request) return;  // records are unsolicited; no re-offer
-        bj.sync_direct(*ledger_, now);
+        bj.sync_direct(ledger_, now);
 
         std::vector<bartercast::BarterRecord> recs_i =
-            bi.outgoing_records(*ledger_, now);
+            bi.outgoing_records(ledger_, now);
         probes_.barter_batch_size.observe(static_cast<double>(recs_i.size()));
         fs.barter.rejected +=
             corrupt_barter_batch(recs_i, f.request_payload, f.payload_salt);
@@ -993,7 +907,7 @@ void ScenarioRunner::barter_round() {
 
         if (!f.reply_lost()) {
           std::vector<bartercast::BarterRecord> recs_j =
-              bj.outgoing_records(*ledger_, now);
+              bj.outgoing_records(ledger_, now);
           probes_.barter_batch_size.observe(
               static_cast<double>(recs_j.size()));
           const std::size_t damaged = corrupt_barter_batch(
@@ -1023,6 +937,9 @@ void ScenarioRunner::barter_round() {
 }
 
 void ScenarioRunner::flush_round_faults() {
+  // An off plane holds nothing to flush; returning before the span keeps
+  // fault-free traces free of fault.flush events.
+  if (!config_.faults.enabled()) return;
   telemetry::Span span(telemetry_.get(), "fault.flush");
   sim::RoundOutcome out = fault_plane_->finish_round();
   for (sim::DeferredDelivery& d : out.deferred) {

@@ -24,8 +24,8 @@
 
 #include "adversary/engine.hpp"
 #include "bt/bandwidth.hpp"
-#include "bt/ledger.hpp"
 #include "bt/swarm.hpp"
+#include "bt/transfer_ledger.hpp"
 #include "core/config.hpp"
 #include "core/node.hpp"
 #include "pss/factory.hpp"
@@ -180,10 +180,9 @@ class ScenarioRunner {
   }
   /// Has this identity appeared yet (trace arrival / attack start)?
   [[nodiscard]] bool has_arrived(PeerId id, Time t) const;
-  /// Read-only view of the contribution ledger (backend per
-  /// ScenarioConfig::ledger).
-  [[nodiscard]] const bt::LedgerView& ledger() const noexcept {
-    return *ledger_;
+  /// Read-only view of the contribution ledger.
+  [[nodiscard]] const bt::TransferLedger& ledger() const noexcept {
+    return ledger_;
   }
   /// Node id's current moderator ranking (ballot box or VoxPopuli merge).
   [[nodiscard]] vote::RankedList ranking_of(PeerId id) const {
@@ -293,7 +292,7 @@ class ScenarioRunner {
   // of the parent seed, so a disabled plane leaves the fault-free RNG
   // sequence untouched and output byte-identical to pre-fault builds.
   std::unique_ptr<sim::FaultPlane> fault_plane_;
-  std::unique_ptr<bt::Ledger> ledger_;
+  bt::TransferLedger ledger_;
   std::unique_ptr<bt::BandwidthAllocator> bandwidth_;
   pss::OnlineDirectory online_;
   /// The PSS behind the shared abstract interface (pss::make_sampler);

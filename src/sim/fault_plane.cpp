@@ -217,7 +217,12 @@ util::Rng FaultPlane::encounter_stream(Protocol proto, std::uint64_t round,
 
 const std::vector<EncounterFaults>& FaultPlane::draw_round(
     Protocol proto, const std::vector<Encounter>& encounters) {
-  assert(enabled());
+  if (!enabled()) {
+    // Inert: one all-pass verdict per encounter, with no RNG draw, no
+    // counter and no round-index advance.
+    table_.assign(encounters.size(), EncounterFaults{});
+    return table_;
+  }
   current_proto_ = proto;
   current_round_ = round_counter_[static_cast<std::size_t>(proto)]++;
   table_.assign(encounters.size(), EncounterFaults{});

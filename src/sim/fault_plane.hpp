@@ -24,8 +24,9 @@
 // with exponential backoff.
 //
 // With every probability at zero the plane is inert: enabled() is false,
-// draw_round is never consulted, and no code path draws an extra random
-// number — runs are byte-identical to a build without the plane.
+// draw_round hands back one all-pass verdict per encounter, and no code
+// path draws an extra random number — runs are byte-identical to a build
+// without the plane.
 #pragma once
 
 #include <cstdint>
@@ -162,6 +163,8 @@ struct FaultCounters {
   std::uint64_t ge_bad_encounters = 0;  ///< encounters drawn in the GE bad state
 
   FaultCounters& operator+=(const FaultCounters& o) noexcept;
+  friend bool operator==(const FaultCounters&,
+                         const FaultCounters&) = default;
 };
 
 /// Protocols the plane arbitrates; each keeps its own round counter so the
@@ -187,6 +190,7 @@ struct FaultStats {
   /// Sum over every protocol (headline degradation numbers).
   [[nodiscard]] FaultCounters total() const noexcept;
   FaultStats& operator+=(const FaultStats& o) noexcept;
+  friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
 
 /// A reply held in flight: the runner schedules `deliver` on the simulator
@@ -224,7 +228,8 @@ class FaultPlane {
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
 
   /// Serial (pairing phase): draw the fault table for this round, indexed
-  /// by encounter seq. Advances the protocol's round counter. The returned
+  /// by encounter seq. Advances the protocol's round counter. A disabled
+  /// plane returns all-pass verdicts and advances nothing. The returned
   /// reference is valid until the next draw_round call; the table is
   /// read-only while lanes execute.
   const std::vector<EncounterFaults>& draw_round(

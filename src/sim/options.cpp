@@ -30,17 +30,6 @@ std::size_t ablation_replicas() {
 
 std::size_t shards() { return env_size("TRIBVOTE_SHARDS", 1); }
 
-bt::LedgerBackend ledger_backend() {
-  const char* v = std::getenv("TRIBVOTE_LEDGER");
-  if (v == nullptr) return bt::LedgerBackend::kMap;
-  if (const auto backend = bt::parse_ledger_backend(v)) return *backend;
-  std::fprintf(stderr,
-               "warning: TRIBVOTE_LEDGER=%s is not a ledger backend "
-               "(map | sharded_log); using map\n",
-               v);
-  return bt::LedgerBackend::kMap;
-}
-
 FaultConfig faults() {
   FaultConfig config;
   const char* v = std::getenv("TRIBVOTE_FAULTS");

@@ -12,8 +12,6 @@
 //                          20090525, the IPPS 2009 conference date)
 //   TRIBVOTE_SHARDS        worker shards per ScenarioRunner (default 1);
 //                          results are bit-identical for any value
-//   TRIBVOTE_LEDGER        contribution-ledger backend: "map" (default,
-//                          the goldens' backend) or "sharded_log"
 //   TRIBVOTE_FAULTS        network fault spec, e.g.
 //                          "loss=0.3,delay=0.1,max_delay=120,crash=0.01,
 //                          corrupt=0.05,retries=4,retry_base=15"
@@ -68,7 +66,6 @@
 #include <vector>
 
 #include "adversary/config.hpp"
-#include "bt/ledger.hpp"
 #include "bt/streaming.hpp"
 #include "sim/fault_plane.hpp"
 #include "telemetry/config.hpp"
@@ -82,10 +79,6 @@ namespace tribvote::sim::options {
 [[nodiscard]] std::size_t replicas();
 [[nodiscard]] std::size_t ablation_replicas();
 [[nodiscard]] std::size_t shards();
-
-/// TRIBVOTE_LEDGER; unknown values fall back to the map backend with a
-/// warning on stderr (a silently ignored knob would taint measurements).
-[[nodiscard]] bt::LedgerBackend ledger_backend();
 
 /// TRIBVOTE_FAULTS parsed via sim::parse_fault_spec; a malformed spec
 /// falls back to no faults with a warning on stderr.

@@ -5,8 +5,10 @@
 // begin/finish object so every transport drives the identical per-agent
 // call order while keeping its own framing in between:
 //
-//   * the deterministic simulator composes it inline per PSS-sampled pair
-//     (vote_encounter() below, called from core/runner.cpp);
+//   * in-process callers compose it inline per pair (vote_encounter()
+//     below); the simulator's fault-aware round body in core/runner.cpp
+//     makes the same calls in the same order through gossip_send, with a
+//     per-leg fault verdict that is all-pass when faults are off;
 //   * the socket plane's ExchangeEngine (net/engine.cpp) holds one across
 //     the wire round-trips of an encounter it initiates, and serves the
 //     responder half through the static answer_vox().

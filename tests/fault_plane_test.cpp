@@ -345,6 +345,43 @@ TEST(FaultPlane, PartitionedEncountersAreVoidedAndCounted) {
   EXPECT_EQ(plane.stats().vote.partitioned, 16u);
 }
 
+// ---- the disabled plane ------------------------------------------------------
+
+TEST(FaultPlane, DisabledPlaneDrawsAllPassVerdictsAndStaysInert) {
+  FaultPlane plane(FaultConfig{}, util::Rng(9), 2);
+  ASSERT_FALSE(plane.enabled());
+  for (const Protocol proto :
+       {Protocol::kVote, Protocol::kModeration, Protocol::kBarter}) {
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<Encounter> encounters = ring_round(17);
+      const auto& table = plane.draw_round(proto, encounters);
+      ASSERT_EQ(table.size(), encounters.size());
+      for (const EncounterFaults& f : table) {
+        EXPECT_TRUE(same_verdict(f, EncounterFaults{}));
+      }
+      const RoundOutcome out = plane.finish_round();
+      EXPECT_TRUE(out.deferred.empty());
+      EXPECT_TRUE(out.crashed.empty());
+      EXPECT_TRUE(out.vp_failures.empty());
+    }
+  }
+  EXPECT_EQ(plane.stats(), FaultStats{});
+
+  // No draw advanced a round index or consumed the plane's stream: a retry
+  // stream keyed now matches one from a plane that never drew.
+  FaultPlane fresh(FaultConfig{}, util::Rng(9), 2);
+  plane.record_vp_failure(0, 3, PeerId{7});
+  fresh.record_vp_failure(0, 3, PeerId{7});
+  auto drawn = plane.finish_round();
+  auto untouched = fresh.finish_round();
+  ASSERT_EQ(drawn.vp_failures.size(), 1u);
+  ASSERT_EQ(untouched.vp_failures.size(), 1u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(drawn.vp_failures[0].retry_rng(),
+              untouched.vp_failures[0].retry_rng());
+  }
+}
+
 // ---- lane buffers and the round outcome ------------------------------------
 
 TEST(FaultPlane, FinishRoundMergesLaneBuffersInSeqOrder) {
