@@ -1,29 +1,12 @@
 #include "bt/bitfield.hpp"
 
-#include <bit>
-#include <cassert>
-
 namespace tribvote::bt {
 
 Bitfield::Bitfield(std::size_t n_bits)
     : n_bits_(n_bits), words_((n_bits + 63) / 64, 0) {}
 
-bool Bitfield::test(std::size_t i) const noexcept {
-  assert(i < n_bits_);
-  return (words_[i / 64] >> (i % 64)) & 1ULL;
-}
-
-void Bitfield::set(std::size_t i) noexcept {
-  assert(i < n_bits_);
-  words_[i / 64] |= (1ULL << (i % 64));
-}
-
-void Bitfield::reset(std::size_t i) noexcept {
-  assert(i < n_bits_);
-  words_[i / 64] &= ~(1ULL << (i % 64));
-}
-
 void Bitfield::set_all() noexcept {
+  count_ = n_bits_;
   if (n_bits_ == 0) return;
   for (auto& w : words_) w = ~0ULL;
   // Clear the padding bits in the final word.
@@ -37,14 +20,6 @@ bool Bitfield::has_piece_not_in(const Bitfield& other) const noexcept {
     if (words_[w] & ~other.words_[w]) return true;
   }
   return false;
-}
-
-std::size_t Bitfield::count() const noexcept {
-  std::size_t total = 0;
-  for (std::uint64_t w : words_) {
-    total += static_cast<std::size_t>(std::popcount(w));
-  }
-  return total;
 }
 
 }  // namespace tribvote::bt

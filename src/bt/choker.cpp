@@ -4,12 +4,12 @@
 
 namespace tribvote::bt {
 
-std::vector<PeerId> Choker::select(std::vector<ChokeCandidate> candidates,
-                                   util::Rng& rng) {
-  std::vector<PeerId> unchoked;
+void Choker::select(std::span<ChokeCandidate> candidates,
+                    std::vector<PeerId>& unchoked, util::Rng& rng) {
+  unchoked.clear();
   if (candidates.empty()) {
     optimistic_target_ = kInvalidPeer;
-    return unchoked;
+    return;
   }
 
   // Regular slots: best reciprocators first; deterministic tie-break by id.
@@ -20,31 +20,29 @@ std::vector<PeerId> Choker::select(std::vector<ChokeCandidate> candidates,
             });
   const std::size_t regular =
       std::min<std::size_t>(config_.regular_slots, candidates.size());
-  unchoked.reserve(regular + config_.optimistic_slots);
   for (std::size_t i = 0; i < regular; ++i) {
     unchoked.push_back(candidates[i].peer);
   }
 
-  if (config_.optimistic_slots == 0) return unchoked;
+  if (config_.optimistic_slots == 0) return;
 
   // Optimistic slot: keep the current target while it is still a candidate
   // outside the regular set; rotate every `optimistic_period` rounds.
-  std::vector<PeerId> rest;
-  for (std::size_t i = regular; i < candidates.size(); ++i) {
-    rest.push_back(candidates[i].peer);
-  }
+  const std::span<const ChokeCandidate> rest = candidates.subspan(regular);
   const bool target_valid =
       optimistic_target_ != kInvalidPeer &&
-      std::find(rest.begin(), rest.end(), optimistic_target_) != rest.end();
+      std::any_of(rest.begin(), rest.end(), [this](const ChokeCandidate& c) {
+        return c.peer == optimistic_target_;
+      });
   if (!target_valid || ++rounds_since_rotation_ >= config_.optimistic_period) {
-    optimistic_target_ =
-        rest.empty() ? kInvalidPeer : rest[rng.next_below(rest.size())];
+    optimistic_target_ = rest.empty()
+                             ? kInvalidPeer
+                             : rest[rng.next_below(rest.size())].peer;
     rounds_since_rotation_ = 0;
   }
   if (optimistic_target_ != kInvalidPeer) {
     unchoked.push_back(optimistic_target_);
   }
-  return unchoked;
 }
 
 }  // namespace tribvote::bt

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -34,10 +35,11 @@ class Choker {
   explicit Choker(ChokerConfig config = {}) : config_(config) {}
 
   /// Select the unchoke set for this round from `candidates` (order
-  /// irrelevant). Returns peer ids; size ≤ regular_slots + optimistic_slots.
-  /// Call exactly once per unchoke round.
-  [[nodiscard]] std::vector<PeerId> select(
-      std::vector<ChokeCandidate> candidates, util::Rng& rng);
+  /// irrelevant; sorted in place). Writes peer ids into `unchoked`, which
+  /// is cleared first; size ≤ regular_slots + optimistic_slots. Call
+  /// exactly once per unchoke round.
+  void select(std::span<ChokeCandidate> candidates,
+              std::vector<PeerId>& unchoked, util::Rng& rng);
 
   [[nodiscard]] const ChokerConfig& config() const noexcept { return config_; }
 

@@ -118,11 +118,12 @@ class Swarm {
     Bitfield have;
     bool active = false;
     bool completed = false;
-    std::vector<bool> in_flight;               // by piece index
+    Bitfield in_flight;                        // by piece index
     std::unordered_map<PeerId, Link> links;     // uploader -> progress
     std::unordered_map<PeerId, double> rx_window;  // recent bytes from peer
     std::unordered_map<PeerId, double> tx_window;  // recent bytes to peer
     Choker choker;
+    double down_budget = 0.0;  // this round's download bytes, all uploaders
     // Streaming playback state (inert unless streaming_.enabled).
     std::size_t play_pos = 0;   // next piece the player consumes
     bool playing = false;       // startup buffer filled, clock running
@@ -153,6 +154,10 @@ class Swarm {
   // std::map for deterministic iteration order (PeerId ascending).
   std::map<PeerId, Member> members_;
   std::size_t active_count_ = 0;
+  // Per-uploader choke scratch, reused across uploaders and rounds so the
+  // choke step allocates nothing once the buffers reach the swarm size.
+  std::vector<ChokeCandidate> candidates_;
+  std::vector<PeerId> unchoked_;
 };
 
 }  // namespace tribvote::bt

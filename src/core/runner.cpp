@@ -441,6 +441,7 @@ void ScenarioRunner::preload_ballot(PeerId owner, PeerId voter,
 void ScenarioRunner::sample_every(Duration period,
                                   std::function<void(Time)> fn) {
   assert(period > 0);
+  assert(!scheduled_);
   samplers_.push_back(Sampler{period, std::move(fn)});
 }
 
@@ -523,16 +524,15 @@ void ScenarioRunner::schedule_everything() {
   }
 
   // Metric samplers: fire at t = 0, period, 2·period, ...
-  for (auto& sampler : samplers_) {
-    auto fire = std::make_shared<std::function<void(Time)>>();
-    const Duration period = sampler.period;
-    auto fn = sampler.fn;
-    *fire = [this, fire, period, fn](Time t) {
-      fn(t);
-      sim_.schedule_at(t + period, [fire, t, period] { (*fire)(t + period); });
-    };
-    sim_.schedule_at(0, [fire] { (*fire)(0); });
+  for (std::size_t i = 0; i < samplers_.size(); ++i) {
+    sim_.schedule_at(0, [this, i] { fire_sampler(i, 0); });
   }
+}
+
+void ScenarioRunner::fire_sampler(std::size_t index, Time t) {
+  samplers_[index].fn(t);
+  const Time next = t + samplers_[index].period;
+  sim_.schedule_at(next, [this, index, next] { fire_sampler(index, next); });
 }
 
 void ScenarioRunner::run_until(Time t) {

@@ -108,7 +108,8 @@ class ScenarioRunner {
                       Opinion opinion);
 
   /// Register a sampling callback fired every `period` seconds starting at
-  /// t = 0 (before any event at t = 0 fires, the baseline sample).
+  /// t = 0 (before any event at t = 0 fires, the baseline sample). Register
+  /// before the first run_until(); later registrations would never fire.
   void sample_every(Duration period, std::function<void(Time)> fn);
 
   // ---- execution ------------------------------------------------------------
@@ -207,6 +208,8 @@ class ScenarioRunner {
  private:
   void build_population(std::uint64_t seed);
   void schedule_everything();
+  /// Run sampler `index` at time t and re-arm it one period later.
+  void fire_sampler(std::size_t index, Time t);
   void peer_online(PeerId id);
   void peer_offline(PeerId id);
   void swarm_created(const trace::SwarmSpec& spec);

@@ -73,5 +73,39 @@ TEST(Bitfield, SetIsIdempotentForCount) {
   EXPECT_EQ(bf.count(), 1u);
 }
 
+// count() is a running tally, not a popcount: it must move only on a real
+// bit change, and agree with a recount of the words.
+TEST(Bitfield, RunningCountTracksOnlyRealChanges) {
+  const auto recount = [](const Bitfield& bf) {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < bf.size(); ++i) total += bf.test(i) ? 1 : 0;
+    return total;
+  };
+  Bitfield bf(130);
+  bf.set(64);
+  bf.set(64);  // re-setting a set bit
+  EXPECT_EQ(bf.count(), 1u);
+  bf.reset(5);  // resetting a clear bit
+  EXPECT_EQ(bf.count(), 1u);
+  bf.reset(64);
+  bf.reset(64);
+  EXPECT_EQ(bf.count(), 0u);
+  EXPECT_TRUE(bf.none());
+
+  bf.set(3);
+  bf.set_all();  // 130 = 2 * 64 + 2: a padded final word
+  EXPECT_EQ(bf.count(), 130u);
+  EXPECT_EQ(recount(bf), 130u);
+  EXPECT_TRUE(bf.all());
+  EXPECT_EQ(bf.word_count(), 3u);
+  EXPECT_EQ(bf.word(2), 0b11u);  // padding bits stay clear
+  bf.set(129);
+  EXPECT_EQ(bf.count(), 130u);
+  bf.reset(129);
+  EXPECT_EQ(bf.count(), 129u);
+  EXPECT_FALSE(bf.all());
+  EXPECT_EQ(recount(bf), 129u);
+}
+
 }  // namespace
 }  // namespace tribvote::bt

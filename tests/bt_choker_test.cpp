@@ -19,17 +19,27 @@ std::vector<ChokeCandidate> make_candidates(
   return out;
 }
 
+/// One unchoke round through the buffer-reusing API.
+std::vector<PeerId> run_select(Choker& choker,
+                               std::vector<ChokeCandidate> candidates,
+                               util::Rng& rng) {
+  std::vector<PeerId> unchoked{kInvalidPeer};  // stale content is cleared
+  choker.select(candidates, unchoked, rng);
+  return unchoked;
+}
+
 TEST(Choker, EmptyCandidates) {
   Choker choker;
   util::Rng rng(1);
-  EXPECT_TRUE(choker.select({}, rng).empty());
+  EXPECT_TRUE(run_select(choker, {}, rng).empty());
 }
 
 TEST(Choker, SelectsTopReciprocators) {
   Choker choker(ChokerConfig{2, 0, 3});
   util::Rng rng(1);
-  const auto unchoked = choker.select(
-      make_candidates({{1, 10.0}, {2, 50.0}, {3, 30.0}, {4, 5.0}}), rng);
+  const auto unchoked = run_select(
+      choker, make_candidates({{1, 10.0}, {2, 50.0}, {3, 30.0}, {4, 5.0}}),
+      rng);
   ASSERT_EQ(unchoked.size(), 2u);
   EXPECT_EQ(unchoked[0], 2u);
   EXPECT_EQ(unchoked[1], 3u);
@@ -38,8 +48,8 @@ TEST(Choker, SelectsTopReciprocators) {
 TEST(Choker, TieBreaksByPeerId) {
   Choker choker(ChokerConfig{2, 0, 3});
   util::Rng rng(1);
-  const auto unchoked = choker.select(
-      make_candidates({{9, 10.0}, {3, 10.0}, {5, 10.0}}), rng);
+  const auto unchoked = run_select(
+      choker, make_candidates({{9, 10.0}, {3, 10.0}, {5, 10.0}}), rng);
   ASSERT_EQ(unchoked.size(), 2u);
   EXPECT_EQ(unchoked[0], 3u);
   EXPECT_EQ(unchoked[1], 5u);
@@ -48,8 +58,8 @@ TEST(Choker, TieBreaksByPeerId) {
 TEST(Choker, OptimisticSlotAddsOneOutsideRegularSet) {
   Choker choker(ChokerConfig{2, 1, 3});
   util::Rng rng(1);
-  const auto unchoked = choker.select(
-      make_candidates({{1, 40.0}, {2, 30.0}, {3, 1.0}, {4, 2.0}}), rng);
+  const auto unchoked = run_select(
+      choker, make_candidates({{1, 40.0}, {2, 30.0}, {3, 1.0}, {4, 2.0}}), rng);
   ASSERT_EQ(unchoked.size(), 3u);
   EXPECT_EQ(unchoked[0], 1u);
   EXPECT_EQ(unchoked[1], 2u);
@@ -59,7 +69,8 @@ TEST(Choker, OptimisticSlotAddsOneOutsideRegularSet) {
 TEST(Choker, FewerCandidatesThanSlots) {
   Choker choker(ChokerConfig{3, 1, 3});
   util::Rng rng(1);
-  const auto unchoked = choker.select(make_candidates({{7, 1.0}}), rng);
+  const auto unchoked =
+      run_select(choker, make_candidates({{7, 1.0}}), rng);
   ASSERT_EQ(unchoked.size(), 1u);
   EXPECT_EQ(unchoked[0], 7u);
 }
@@ -69,12 +80,12 @@ TEST(Choker, OptimisticTargetIsSticky) {
   util::Rng rng(2);
   const auto candidates =
       make_candidates({{1, 100.0}, {2, 0.0}, {3, 0.0}, {4, 0.0}});
-  const auto first = choker.select(candidates, rng);
+  const auto first = run_select(choker, candidates, rng);
   ASSERT_EQ(first.size(), 2u);
   const PeerId target = first[1];
   // For the next (period - 1) rounds the optimistic pick stays put.
   for (int round = 0; round < 2; ++round) {
-    const auto next = choker.select(candidates, rng);
+    const auto next = run_select(choker, candidates, rng);
     ASSERT_EQ(next.size(), 2u);
     EXPECT_EQ(next[1], target) << "round " << round;
   }
@@ -87,7 +98,7 @@ TEST(Choker, OptimisticTargetRotatesEventually) {
       {{1, 100.0}, {2, 0.0}, {3, 0.0}, {4, 0.0}, {5, 0.0}});
   std::set<PeerId> targets;
   for (int round = 0; round < 40; ++round) {
-    const auto unchoked = choker.select(candidates, rng);
+    const auto unchoked = run_select(choker, candidates, rng);
     ASSERT_EQ(unchoked.size(), 2u);
     targets.insert(unchoked[1]);
   }
@@ -98,15 +109,16 @@ TEST(Choker, NoOptimisticWhenAllCandidatesAreRegular) {
   Choker choker(ChokerConfig{3, 1, 3});
   util::Rng rng(4);
   const auto unchoked =
-      choker.select(make_candidates({{1, 3.0}, {2, 2.0}, {3, 1.0}}), rng);
+      run_select(choker, make_candidates({{1, 3.0}, {2, 2.0}, {3, 1.0}}),
+                 rng);
   EXPECT_EQ(unchoked.size(), 3u);  // nothing left for the optimistic slot
 }
 
 TEST(Choker, ZeroOptimisticSlots) {
   Choker choker(ChokerConfig{2, 0, 3});
   util::Rng rng(5);
-  const auto unchoked = choker.select(
-      make_candidates({{1, 3.0}, {2, 2.0}, {3, 1.0}, {4, 0.5}}), rng);
+  const auto unchoked = run_select(
+      choker, make_candidates({{1, 3.0}, {2, 2.0}, {3, 1.0}, {4, 0.5}}), rng);
   EXPECT_EQ(unchoked.size(), 2u);
 }
 
@@ -114,7 +126,8 @@ TEST(Choker, NeverDuplicatesPeers) {
   Choker choker;
   util::Rng rng(6);
   for (int round = 0; round < 50; ++round) {
-    const auto unchoked = choker.select(
+    const auto unchoked = run_select(
+        choker,
         make_candidates(
             {{1, 5.0}, {2, 4.0}, {3, 3.0}, {4, 2.0}, {5, 1.0}, {6, 0.0}}),
         rng);

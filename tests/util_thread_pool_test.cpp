@@ -42,13 +42,18 @@ TEST(ThreadPool, ParallelForZeroTasks) {
 
 TEST(ThreadPool, ParallelForRethrows) {
   ThreadPool pool(2);
+  std::atomic<int> ran{0};
   EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
+                                 [&ran](std::size_t i) {
                                    if (i == 3) {
                                      throw std::logic_error("task failed");
                                    }
+                                   ++ran;
                                  }),
                std::logic_error);
+  // The throw surfaces only after every other task has finished, so none
+  // of them outlives the call (and the lambda it references).
+  EXPECT_EQ(ran.load(), 7);
 }
 
 TEST(ThreadPool, ManyTasksAccumulate) {
