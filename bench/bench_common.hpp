@@ -48,7 +48,7 @@ inline telemetry::TelemetryConfig telemetry_config() {
   return sim::options::telemetry();
 }
 
-/// Vote-history cache + delta gossip (VoteConfig::gossip_cache, via
+/// Vote-history signature cache (VoteConfig::gossip_cache, via
 /// TRIBVOTE_GOSSIP_CACHE). Semantically transparent: goldens are
 /// byte-identical on (the default) and off.
 inline bool gossip_cache() { return sim::options::gossip_cache(); }

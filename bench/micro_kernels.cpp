@@ -263,8 +263,9 @@ struct RoundPopulation {
 /// serial and identical across shard counts; the measured quantity is the
 /// exchange fan-out. items/sec == nodes/sec (the ≥10⁵-peer scaling metric).
 /// Speedup over the shards=1 row requires as many physical cores as shards.
-/// cache:1 runs with the vote-history cache + delta gossip (the default);
-/// cache:0 is the legacy select-sign-full-message path on every leg.
+/// cache:1 runs with the vote-history signature cache (the default); cache:0
+/// selects and signs a fresh message on every leg. A round is 60-100 ms, so
+/// each row repeats its timing runs and reports mean, median and spread.
 void BM_RoundThroughput(benchmark::State& state) {
   constexpr std::size_t kNodes = 10'000;
   const auto shards = static_cast<std::size_t>(state.range(0));
@@ -306,34 +307,29 @@ BENCHMARK(BM_RoundThroughput)
     ->Args({1, 0})
     ->Args({4, 0})
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Repetitions(7)
+    ->ReportAggregatesOnly(true);
 
-/// A pair of warmed-up vote agents for the gossip-path microbenchmarks:
-/// each holds `votes` deterministic-selection entries (≤ one message), and
-/// one full exchange has already run so the counterpart memory is primed.
-struct GossipPair {
-  std::vector<crypto::KeyPair> keys;
-  std::vector<std::unique_ptr<vote::VoteAgent>> agents;
+/// A vote agent holding `votes` deterministic-selection entries (at most
+/// one message) whose first message is already built, so with the cache on
+/// its signature cache is warm.
+struct WarmSender {
+  crypto::KeyPair keys;
+  std::unique_ptr<vote::VoteAgent> agent;
 
-  GossipPair(bool cache, std::size_t votes) {
+  WarmSender(bool cache, std::size_t votes) {
     util::Rng root(33);
     vote::VoteConfig config;
     config.gossip_cache = cache;
-    for (PeerId id = 0; id < 2; ++id) {
-      util::Rng krng = root.derive(100 + id);
-      keys.push_back(crypto::generate_keypair(krng));
+    util::Rng krng = root.derive(100);
+    keys = crypto::generate_keypair(krng);
+    agent = std::make_unique<vote::VoteAgent>(
+        0, keys, config, [](PeerId) { return true; }, root.derive(200));
+    for (ModeratorId m = 0; m < votes; ++m) {
+      agent->cast_vote(m, Opinion::kPositive, static_cast<Time>(m));
     }
-    for (PeerId id = 0; id < 2; ++id) {
-      agents.push_back(std::make_unique<vote::VoteAgent>(
-          id, keys[id], config, [](PeerId) { return true; },
-          root.derive(200 + id)));
-      for (ModeratorId m = 0; m < votes; ++m) {
-        agents[id]->cast_vote(static_cast<ModeratorId>(100 * id) + m,
-                              Opinion::kPositive, static_cast<Time>(m));
-      }
-    }
-    (void)vote::gossip_send(*agents[0], *agents[1], 1000);
-    (void)vote::gossip_send(*agents[1], *agents[0], 1000);
+    (void)agent->outgoing_votes(1000);
   }
 };
 
@@ -343,8 +339,8 @@ struct GossipPair {
 /// The signatures_per_build counter is the ≥2× signing-reduction evidence:
 /// 1.0 cold vs ~0 warm.
 void BM_OutgoingVotes(benchmark::State& state) {
-  GossipPair pair(state.range(0) != 0, 40);
-  vote::VoteAgent& agent = *pair.agents[0];
+  WarmSender sender(state.range(0) != 0, 40);
+  vote::VoteAgent& agent = *sender.agent;
   const vote::GossipStats before = agent.gossip_stats();
   for (auto _ : state) {
     benchmark::DoNotOptimize(agent.outgoing_votes(2000));
@@ -357,34 +353,6 @@ void BM_OutgoingVotes(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_OutgoingVotes)->ArgNames({"cache"})->Arg(0)->Arg(1);
-
-/// Wire bytes per steady-state gossip leg: cache off (arg 0) re-sends the
-/// full signed vote list every encounter; cache on (arg 1) opens with a
-/// digest and — once the counterpart holds everything — closes digest-only.
-/// bytes_per_leg and delta_fraction are the BENCH_micro gossip-bytes rows.
-void BM_GossipBytes(benchmark::State& state) {
-  GossipPair pair(state.range(0) != 0, 40);
-  std::uint64_t bytes = 0, deltas = 0, legs = 0;
-  Time now = 2000;
-  for (auto _ : state) {
-    const vote::GossipLegOutcome a =
-        vote::gossip_send(*pair.agents[0], *pair.agents[1], now);
-    const vote::GossipLegOutcome b =
-        vote::gossip_send(*pair.agents[1], *pair.agents[0], now);
-    bytes += a.bytes + b.bytes;
-    deltas += (a.delta ? 1u : 0u) + (b.delta ? 1u : 0u);
-    legs += 2;
-    now += 60;
-    benchmark::DoNotOptimize(a.result);
-    benchmark::DoNotOptimize(b.result);
-  }
-  state.counters["bytes_per_leg"] =
-      static_cast<double>(bytes) / static_cast<double>(legs > 0 ? legs : 1);
-  state.counters["delta_fraction"] =
-      static_cast<double>(deltas) / static_cast<double>(legs > 0 ? legs : 1);
-  state.SetItemsProcessed(static_cast<std::int64_t>(legs));
-}
-BENCHMARK(BM_GossipBytes)->ArgNames({"cache"})->Arg(0)->Arg(1);
 
 void BM_BallotBoxMerge(benchmark::State& state) {
   std::vector<vote::VoteEntry> votes;
@@ -455,7 +423,12 @@ void BM_PiecePickerRarest(benchmark::State& state) {
 }
 BENCHMARK(BM_PiecePickerRarest);
 
+/// The first kTicks ticks of a freshly built swarm, with construction and
+/// teardown paused: every iteration times the same download phase, so the
+/// per-tick figure does not move with the iteration count. items/s is
+/// ticks/s.
 void BM_SwarmTick(benchmark::State& state) {
+  constexpr int kTicks = 64;
   const auto members = static_cast<PeerId>(state.range(0));
   std::vector<trace::PeerProfile> peers;
   for (PeerId id = 0; id < members; ++id) {
@@ -469,15 +442,31 @@ void BM_SwarmTick(benchmark::State& state) {
   spec.size_mb = 256;
   spec.piece_kb = 1024;
   spec.initial_seeder = 0;
-  bt::TransferLedger ledger(members);
-  bt::BandwidthAllocator bandwidth(std::vector<double>(members, 96.0),
-                                   std::vector<double>(members, 768.0));
-  bt::Swarm swarm(spec, peers, ledger, bandwidth, util::Rng(13));
-  swarm.add_member(0, true);
-  for (PeerId p = 1; p < members; ++p) swarm.add_member(p, false);
+  struct Fresh {
+    bt::TransferLedger ledger;
+    bt::BandwidthAllocator bandwidth;
+    bt::Swarm swarm;
+    Fresh(const trace::SwarmSpec& spec,
+          const std::vector<trace::PeerProfile>& peers, PeerId members)
+        : ledger(members),
+          bandwidth(std::vector<double>(members, 96.0),
+                    std::vector<double>(members, 768.0)),
+          swarm(spec, peers, ledger, bandwidth, util::Rng(13)) {
+      swarm.add_member(0, true);
+      for (PeerId p = 1; p < members; ++p) swarm.add_member(p, false);
+    }
+  };
   for (auto _ : state) {
-    swarm.tick(10.0);
+    state.PauseTiming();
+    auto fresh = std::make_unique<Fresh>(spec, peers, members);
+    state.ResumeTiming();
+    for (int t = 0; t < kTicks; ++t) fresh->swarm.tick(10.0);
+    state.PauseTiming();
+    fresh.reset();
+    state.ResumeTiming();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kTicks);
 }
 BENCHMARK(BM_SwarmTick)->Arg(8)->Arg(32);
 

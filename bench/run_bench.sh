@@ -103,48 +103,3 @@ with open(path, "w") as f:
 PYEOF
   echo "merged scenario_wall_s into $out"
 fi
-
-# -- gossip bytes ------------------------------------------------------------
-# Distill the BM_GossipBytes / BM_OutgoingVotes counters into a
-# "gossip_bytes" section: steady-state wire bytes per gossip leg and
-# signatures per outgoing-message build, cache off vs on. These are the
-# numbers the EXPERIMENTS doc quotes for the delta-gossip saving.
-python3 - "$out" <<'PYEOF'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)
-section = {}
-for bench in doc.get("benchmarks", []):
-    name = bench.get("name", "")
-    if name.startswith("BM_GossipBytes/cache:"):
-        key = "cache_on" if name.endswith("cache:1") else "cache_off"
-        section.setdefault(key, {}).update(
-            bytes_per_leg=round(float(bench["bytes_per_leg"]), 1),
-            delta_fraction=round(float(bench["delta_fraction"]), 4))
-    elif name.startswith("BM_OutgoingVotes/cache:"):
-        key = "cache_on" if name.endswith("cache:1") else "cache_off"
-        section.setdefault(key, {})["signatures_per_build"] = round(
-            float(bench["signatures_per_build"]), 4)
-if {"cache_on", "cache_off"} <= section.keys():
-    off, on = section["cache_off"], section["cache_on"]
-    if on.get("bytes_per_leg"):
-        section["bytes_reduction"] = round(
-            off["bytes_per_leg"] / on["bytes_per_leg"], 2)
-    # A fully-warm cache signs zero times per build; report that as "inf"
-    # rather than dividing by it.
-    if "signatures_per_build" in off and "signatures_per_build" in on:
-        section["signing_reduction"] = (
-            round(off["signatures_per_build"] / on["signatures_per_build"], 2)
-            if on["signatures_per_build"] > 0 else "inf")
-    doc["gossip_bytes"] = section
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-    print(f"merged gossip_bytes into {path}")
-else:
-    print("note: BM_GossipBytes rows absent (filtered run?); "
-          "gossip_bytes section skipped")
-PYEOF

@@ -17,7 +17,7 @@
 //     --crowd N            flash-crowd colluders          (default 0)
 //     --core N             pre-converged core size        (default 20 if crowd>0)
 //     --shards N           population worker shards       (default TRIBVOTE_SHARDS or 1)
-//     --gossip-cache on|off  vote-history cache + delta gossip
+//     --gossip-cache on|off  vote-history signature cache
 //                            (default TRIBVOTE_GOSSIP_CACHE or on)
 //     --sample HOURS       sampling period                (default 2)
 //     --csv FILE           output CSV                     (default scenario_cli.csv)
@@ -401,16 +401,12 @@ int main(int argc, char** argv) {
                     tel->registry().total_by_name("mod.deliveries")),
                 static_cast<unsigned long long>(
                     tel->registry().total_by_name("bt.pieces_completed")));
-    std::printf("gossip: bytes_sent=%llu full=%llu delta=%llu "
-                "fallbacks=%llu cache_hits=%llu signatures=%llu\n",
+    std::printf("gossip: bytes_sent=%llu full=%llu cache_hits=%llu "
+                "signatures=%llu\n",
                 static_cast<unsigned long long>(
                     tel->registry().total_by_name("gossip.bytes_sent")),
                 static_cast<unsigned long long>(
                     tel->registry().total_by_name("gossip.full_exchanges")),
-                static_cast<unsigned long long>(
-                    tel->registry().total_by_name("gossip.delta_exchanges")),
-                static_cast<unsigned long long>(
-                    tel->registry().total_by_name("gossip.digest_fallbacks")),
                 static_cast<unsigned long long>(
                     tel->registry().total_by_name("gossip.cache_hits")),
                 static_cast<unsigned long long>(

@@ -5,9 +5,9 @@
 //   ./tribvote_node --id 1 --seed 1 --listen 0 --casts 2 &
 //   ./tribvote_load --connect 127.0.0.1:<port> --id 2 --seed 2 --seconds 5
 //
-// Each round casts `--casts` scheduled votes before initiating, so after the
-// first (full) exchange every encounter exercises the digest/delta path —
-// the steady-state hot path whose wire cost PROTOCOL.md §4 fixes.
+// Each round casts `--casts` scheduled votes before initiating, so every
+// encounter ships a fresh signed vote list (`--casts 0` measures the
+// signature-cache steady state instead); PROTOCOL.md §4 fixes the wire cost.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -136,8 +136,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.frames_out),
               static_cast<unsigned long long>(s.frames_in));
   if (ec != nullptr) {
-    std::printf("load open_digest %llu open_full %llu\n",
-                static_cast<unsigned long long>(ec->open_digest),
+    std::printf("load open_full %llu\n",
                 static_cast<unsigned long long>(ec->open_full));
   }
   return 0;

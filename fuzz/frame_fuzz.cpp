@@ -5,8 +5,8 @@
 //   0x00        — stream mode: the rest is fed byte-split into a
 //                 FrameReader; each popped frame's payload is dispatched
 //                 to the decoder its type names.
-//   0x01..0x09  — payload mode: the rest goes straight into one decoder
-//                 (selector order matches kDecoders below). On a
+//   0x01..0x06  — payload mode: the rest goes straight into one decoder
+//                 (selector order matches selector_for below). On a
 //                 successful decode the message is re-encoded and must
 //                 decode again — the codecs' canonical-form contract.
 //
@@ -65,36 +65,6 @@ void decode_payload(std::uint8_t selector,
       break;
     }
     case 4: {
-      vote::VoteDigestMessage m;
-      if (decode_vote_digest(payload, m)) {
-        vote::VoteDigestMessage again;
-        const bool ok = decode_vote_digest(encode_vote_digest(m), again);
-        assert(ok);
-        (void)ok;
-      }
-      break;
-    }
-    case 5: {
-      std::vector<std::size_t> missing;
-      if (decode_delta_request(payload, missing)) {
-        std::vector<std::size_t> again;
-        const bool ok = decode_delta_request(encode_delta_request(missing), again);
-        assert(ok && again == missing);
-        (void)ok;
-      }
-      break;
-    }
-    case 6: {
-      vote::VoteDeltaMessage m;
-      if (decode_vote_delta(payload, m)) {
-        vote::VoteDeltaMessage again;
-        const bool ok = decode_vote_delta(encode_vote_delta(m), again);
-        assert(ok);
-        (void)ok;
-      }
-      break;
-    }
-    case 7: {
       vote::RankedList m;
       if (decode_vox_topk(payload, m)) {
         vote::RankedList again;
@@ -104,7 +74,7 @@ void decode_payload(std::uint8_t selector,
       }
       break;
     }
-    case 8: {
+    case 5: {
       std::vector<moderation::Moderation> m;
       if (decode_mod_batch(payload, m)) {
         std::vector<moderation::Moderation> again;
@@ -114,7 +84,7 @@ void decode_payload(std::uint8_t selector,
       }
       break;
     }
-    case 9: {
+    case 6: {
       PeerExchangeMessage m;
       if (decode_peer_exchange(payload, m)) {
         assert(m.descriptors.size() <= kMaxPeerDescriptors);
@@ -135,13 +105,10 @@ std::uint8_t selector_for(FrameType type) {
     case FrameType::kHello: return 1;
     case FrameType::kEncounterBegin: return 2;
     case FrameType::kVoteFull: return 3;
-    case FrameType::kVoteDigest: return 4;
-    case FrameType::kVoteDeltaRequest: return 5;
-    case FrameType::kVoteDelta: return 6;
-    case FrameType::kVoxTopK: return 7;
-    case FrameType::kModBatch: return 8;
-    case FrameType::kPeerExchange: return 9;
-    default: return 0;  // EncounterEnd/Bye/requests carry no payload codec
+    case FrameType::kVoxTopK: return 4;
+    case FrameType::kModBatch: return 5;
+    case FrameType::kPeerExchange: return 6;
+    default: return 0;  // EncounterEnd/Bye/VoxRequest carry no payload codec
   }
 }
 
@@ -250,27 +217,14 @@ std::vector<std::vector<std::uint8_t>> make_seeds() {
   add_payload(3, encode_vote_full(full));
   add_stream(FrameType::kVoteFull, 1, encode_vote_full(full));
 
-  vote::VoteDigestMessage digest;
-  digest.voter = 3;
-  digest.entries.push_back(vote::DigestEntry{5, 0xabcdef01u});
-  add_payload(4, encode_vote_digest(digest));
-
-  add_payload(5, encode_delta_request({0, 2, 5}));
-
-  vote::VoteDeltaMessage delta;
-  delta.voter = 3;
-  delta.bound_checksum = 0x1234;
-  delta.votes.push_back(vote::VoteEntry{5, Opinion::kPositive, 100});
-  add_payload(6, encode_vote_delta(delta));
-
-  add_payload(7, encode_vox_topk(vote::RankedList{4, 8, 15}));
+  add_payload(4, encode_vox_topk(vote::RankedList{4, 8, 15}));
 
   moderation::Moderation mod;
   mod.moderator = 2;
   mod.infohash = 0xfeed;
   mod.created = 50;
   mod.description = "seed";
-  add_payload(8, encode_mod_batch({mod}));
+  add_payload(5, encode_mod_batch({mod}));
 
   PeerExchangeMessage exchange;
   exchange.reply_requested = true;
@@ -280,7 +234,7 @@ std::vector<std::vector<std::uint8_t>> make_seeds() {
   d.port = 4242;
   d.heartbeat = 77;
   exchange.descriptors.push_back(d);
-  add_payload(9, encode_peer_exchange(exchange));
+  add_payload(6, encode_peer_exchange(exchange));
   add_stream(FrameType::kPeerExchange, 1, encode_peer_exchange(exchange));
 
   // Two frames back to back plus a truncated third — the reassembly path.

@@ -43,19 +43,6 @@ vote::WireFault to_wire(sim::PayloadFault fault) {
   return vote::WireFault::kNone;
 }
 
-/// Wire bytes of the opening frame a sender would put on the wire toward
-/// `receiver` — a digest when the delta path is open, else the full
-/// message. Used to account frames the fault plane drops before delivery.
-std::size_t first_frame_bytes(const vote::VoteAgent& sender,
-                              const vote::VoteListMessage& msg,
-                              PeerId receiver) {
-  if (sender.config().gossip_cache && !msg.votes.empty() &&
-      sender.counterparts().known(receiver)) {
-    return vote::wire_size(vote::make_digest(msg));
-  }
-  return vote::wire_size(msg);
-}
-
 /// In-flight damage to a moderation batch. Items are individually signed,
 /// so truncation loses the tail and corruption damages exactly one item —
 /// the receiver's per-item verification drops it and merges the rest.
@@ -165,17 +152,13 @@ void ScenarioRunner::init_telemetry() {
       telemetry::Counter(&reg, reg.counter("mod.deliveries"));
   probes_.mod_nodes_reached =
       telemetry::Counter(&reg, reg.counter("mod.nodes_reached"));
-  // Gossip cache / delta exchange accounting. Lane-local sums over
+  // Vote-list and signature-cache accounting. Lane-local sums over
   // per-encounter values that depend only on per-node state the kernel
   // serializes, so the folded totals are shard-invariant.
   probes_.gossip_bytes =
       telemetry::Counter(&reg, reg.counter("gossip.bytes_sent"));
   probes_.gossip_full =
       telemetry::Counter(&reg, reg.counter("gossip.full_exchanges"));
-  probes_.gossip_delta =
-      telemetry::Counter(&reg, reg.counter("gossip.delta_exchanges"));
-  probes_.gossip_fallbacks =
-      telemetry::Counter(&reg, reg.counter("gossip.digest_fallbacks"));
   probes_.gossip_cache_hits =
       telemetry::Counter(&reg, reg.counter("gossip.cache_hits"));
   probes_.gossip_signatures =
@@ -698,23 +681,13 @@ void ScenarioRunner::vote_round() {
         Node& nj = *nodes_[e.responder];
 
         if (f.drop_request) {
-          // The responder never learns of the encounter. The opening frame
-          // (digest or full list, whatever the delta path would ship) was
-          // still built, signed-or-cached and put on the wire — account
-          // it. A bootstrapping initiator's VP request rode the same dial
-          // and timed out with it; the retry chain takes over after the
-          // round.
-          const vote::GossipStats gs0 = ni.vote().gossip_stats();
-          const vote::VoteListMessage from_i = ni.vote().outgoing_votes(now);
-          probes_.vote_list_size.observe(
-              static_cast<double>(from_i.votes.size()));
+          // The responder never learns of the encounter. The vote list
+          // was still built, signed-or-cached and put on the wire —
+          // account it. A bootstrapping initiator's VP request rode the
+          // same dial and timed out with it; the retry chain takes over
+          // after the round.
           probes_.gossip_bytes.add(
-              first_frame_bytes(ni.vote(), from_i, e.responder));
-          const vote::GossipStats& gs1 = ni.vote().gossip_stats();
-          if (gs1.cache_hits > gs0.cache_hits) probes_.gossip_cache_hits.add();
-          if (gs1.signatures > gs0.signatures) {
-            probes_.gossip_signatures.add(gs1.signatures - gs0.signatures);
-          }
+              vote::wire_size(outgoing_votes_noted(ni.vote(), now)));
           if (ni.vote().bootstrapping()) {
             ++fs.vox.timeouts;
             fault_plane_->record_vp_failure(lane, e.seq, e.initiator);
@@ -724,7 +697,6 @@ void ScenarioRunner::vote_round() {
         const vote::GossipLegOutcome leg_ij = vote::gossip_send(
             ni.vote(), nj.vote(), now, to_wire(f.request_payload),
             f.payload_salt);
-        probes_.vote_list_size.observe(static_cast<double>(leg_ij.list_size));
         note_vote_receive(st, leg_ij.result);
         note_gossip_leg(leg_ij);
         if (f.request_payload != sim::PayloadFault::kNone &&
@@ -734,20 +706,8 @@ void ScenarioRunner::vote_round() {
 
         if (!f.reply_lost()) {
           if (f.delay_reply > 0) {
-            // A delayed reply is serialized and delivered later, so it
-            // always travels as a full (cache-served) message — the delta
-            // handshake needs both endpoints live in the same round.
-            const vote::GossipStats gs0 = nj.vote().gossip_stats();
-            vote::VoteListMessage from_j = nj.vote().outgoing_votes(now);
-            probes_.vote_list_size.observe(
-                static_cast<double>(from_j.votes.size()));
-            const vote::GossipStats& gs1 = nj.vote().gossip_stats();
-            if (gs1.cache_hits > gs0.cache_hits) {
-              probes_.gossip_cache_hits.add();
-            }
-            if (gs1.signatures > gs0.signatures) {
-              probes_.gossip_signatures.add(gs1.signatures - gs0.signatures);
-            }
+            // A delayed reply is built now and delivered later.
+            vote::VoteListMessage from_j = outgoing_votes_noted(nj.vote(), now);
             vote::damage_message(from_j, to_wire(f.reply_payload),
                                  f.payload_salt + 1);
             probes_.gossip_bytes.add(vote::wire_size(from_j));
@@ -772,8 +732,6 @@ void ScenarioRunner::vote_round() {
             const vote::GossipLegOutcome leg_ji = vote::gossip_send(
                 nj.vote(), ni.vote(), now, to_wire(f.reply_payload),
                 f.payload_salt + 1);
-            probes_.vote_list_size.observe(
-                static_cast<double>(leg_ji.list_size));
             note_vote_receive(st, leg_ji.result);
             note_gossip_leg(leg_ji);
             if (f.reply_payload != sim::PayloadFault::kNone &&

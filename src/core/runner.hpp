@@ -256,17 +256,28 @@ class ScenarioRunner {
         .add();
   }
   /// Account one directed gossip leg (lane-local; inert when telemetry
-  /// off). Bytes cover every frame the leg put on the wire.
+  /// off).
   void note_gossip_leg(const vote::GossipLegOutcome& leg) {
+    probes_.vote_list_size.observe(static_cast<double>(leg.list_size));
     probes_.gossip_bytes.add(leg.bytes);
-    if (leg.delta) {
-      probes_.gossip_delta.add();
-    } else {
-      probes_.gossip_full.add();
-    }
-    if (leg.fallback_full) probes_.gossip_fallbacks.add();
+    probes_.gossip_full.add();
     if (leg.cache_hit) probes_.gossip_cache_hits.add();
     if (leg.signatures > 0) probes_.gossip_signatures.add(leg.signatures);
+  }
+  /// Build `sender`'s vote list for a leg gossip_send does not carry (a
+  /// dropped request, a delayed reply) and account the build as
+  /// note_gossip_leg would; the caller accounts the bytes.
+  vote::VoteListMessage outgoing_votes_noted(vote::VoteAgent& sender,
+                                             Time now) {
+    const vote::GossipStats before = sender.gossip_stats();
+    vote::VoteListMessage msg = sender.outgoing_votes(now);
+    const vote::GossipStats& after = sender.gossip_stats();
+    probes_.vote_list_size.observe(static_cast<double>(msg.votes.size()));
+    if (after.cache_hits > before.cache_hits) probes_.gossip_cache_hits.add();
+    if (after.signatures > before.signatures) {
+      probes_.gossip_signatures.add(after.signatures - before.signatures);
+    }
+    return msg;
   }
   /// Count a moderation being published. The publisher holds its own item,
   /// so it counts as "reached" too (publish() fires no on_new_moderation —
@@ -338,12 +349,10 @@ class ScenarioRunner {
     telemetry::Counter mod_published;
     telemetry::Counter mod_deliveries;
     telemetry::Counter mod_nodes_reached;
-    // Gossip-cache / delta-exchange accounting (lane-local sums, so the
+    // Vote-list and signature-cache accounting (lane-local sums, so the
     // fold is shard-invariant like every other probe).
     telemetry::Counter gossip_bytes;        ///< wire bytes, incl. lost frames
-    telemetry::Counter gossip_full;         ///< legs completed as full lists
-    telemetry::Counter gossip_delta;        ///< legs completed digest-first
-    telemetry::Counter gossip_fallbacks;    ///< damaged digest → full retry
+    telemetry::Counter gossip_full;         ///< legs past a dropped request
     telemetry::Counter gossip_cache_hits;   ///< messages served from cache
     telemetry::Counter gossip_signatures;   ///< Schnorr signing operations
     telemetry::Histogram vote_list_size;

@@ -94,90 +94,6 @@ bool decode_vote_full(const std::vector<std::uint8_t>& p,
   return r.complete();
 }
 
-std::vector<std::uint8_t> encode_vote_digest(const vote::VoteDigestMessage& m) {
-  std::vector<std::uint8_t> p;
-  WireWriter w(p);
-  w.u32(m.voter);
-  w.u64(m.key.y);
-  w.u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (const vote::DigestEntry& e : m.entries) {
-    w.u32(e.moderator);
-    w.u64(e.check);
-  }
-  w.u64(m.checksum);
-  return p;
-}
-
-bool decode_vote_digest(const std::vector<std::uint8_t>& p,
-                        vote::VoteDigestMessage& out) {
-  WireReader r(p.data(), p.size());
-  out.voter = r.u32();
-  out.key.y = r.u64();
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count > kMaxDigestEntries) return false;
-  out.entries.resize(count);
-  for (vote::DigestEntry& e : out.entries) {
-    e.moderator = r.u32();
-    e.check = r.u64();
-  }
-  out.checksum = r.u64();
-  return r.complete();
-}
-
-std::vector<std::uint8_t> encode_delta_request(
-    const std::vector<std::size_t>& missing) {
-  std::vector<std::uint8_t> p;
-  WireWriter w(p);
-  w.u32(static_cast<std::uint32_t>(missing.size()));
-  for (const std::size_t index : missing) {
-    w.u32(static_cast<std::uint32_t>(index));
-  }
-  return p;
-}
-
-bool decode_delta_request(const std::vector<std::uint8_t>& p,
-                          std::vector<std::size_t>& out) {
-  WireReader r(p.data(), p.size());
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count > kMaxDeltaIndices) return false;
-  out.clear();
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t index = r.u32();
-    if (!out.empty() && index <= out.back()) return false;  // not increasing
-    out.push_back(index);
-  }
-  return r.complete();
-}
-
-std::vector<std::uint8_t> encode_vote_delta(const vote::VoteDeltaMessage& m) {
-  std::vector<std::uint8_t> p;
-  WireWriter w(p);
-  w.u32(m.voter);
-  w.u64(m.key.y);
-  w.u64(m.bound_checksum);
-  w.u32(static_cast<std::uint32_t>(m.votes.size()));
-  for (const vote::VoteEntry& v : m.votes) put_vote_entry(w, v);
-  put_signature(w, m.signature);
-  return p;
-}
-
-bool decode_vote_delta(const std::vector<std::uint8_t>& p,
-                       vote::VoteDeltaMessage& out) {
-  WireReader r(p.data(), p.size());
-  out.voter = r.u32();
-  out.key.y = r.u64();
-  out.bound_checksum = r.u64();
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count > kMaxVoteEntries) return false;
-  out.votes.resize(count);
-  for (vote::VoteEntry& v : out.votes) {
-    if (!get_vote_entry(r, v)) return false;
-  }
-  get_signature(r, out.signature);
-  return r.complete();
-}
-
 std::vector<std::uint8_t> encode_vox_topk(const vote::RankedList& list) {
   std::vector<std::uint8_t> p;
   WireWriter w(p);
@@ -286,22 +202,16 @@ std::uint64_t codec_abi_digest() {
               static_cast<std::uint64_t>(FrameType::kEncounterEnd),
               static_cast<std::uint64_t>(FrameType::kBye),
               static_cast<std::uint64_t>(FrameType::kVoteFull),
-              static_cast<std::uint64_t>(FrameType::kVoteDigest),
-              static_cast<std::uint64_t>(FrameType::kVoteDeltaRequest),
-              static_cast<std::uint64_t>(FrameType::kVoteDelta),
-              static_cast<std::uint64_t>(FrameType::kVoteFullRequest),
               static_cast<std::uint64_t>(FrameType::kVoxRequest),
               static_cast<std::uint64_t>(FrameType::kVoxTopK),
               static_cast<std::uint64_t>(FrameType::kModBatch),
               static_cast<std::uint64_t>(FrameType::kPeerExchange)}));
-  // Record layouts, as byte sizes: vote entry (u32+i8+i64 = 13), digest
-  // entry (u32+u64 = 12), signature (u64+u64 = 16), hello (u32+u64 = 12),
-  // encounter begin (u8+i64 = 9), peer descriptor
-  // (u32+u64+u32+u16+i64+sig = 42).
-  h = util::hash_combine(h, util::digest_fields({13, 12, 16, 12, 9, 42}));
+  // Record layouts, as byte sizes: vote entry (u32+i8+i64 = 13), signature
+  // (u64+u64 = 16), hello (u32+u64 = 12), encounter begin (u8+i64 = 9),
+  // peer descriptor (u32+u64+u32+u16+i64+sig = 42).
+  h = util::hash_combine(h, util::digest_fields({13, 16, 12, 9, 42}));
   h = util::hash_combine(
-      h, util::digest_fields({kMaxVoteEntries, kMaxDigestEntries,
-                              kMaxDeltaIndices, kMaxTopK, kMaxModItems,
+      h, util::digest_fields({kMaxVoteEntries, kMaxTopK, kMaxModItems,
                               kMaxDescriptionBytes, kMaxPeerDescriptors}));
   h = util::hash_combine(
       h, util::digest_fields({kEncounterVote, kEncounterModeration}));

@@ -1,15 +1,14 @@
 // Binary payload codecs for every wire message (PROTOCOL.md §4). Encoders
 // produce exactly the layouts the spec fixes; decoders are strict — a
 // payload that is short, carries trailing bytes, an out-of-range opinion,
-// an unsorted delta-request, or a count above its limit is rejected, and
-// the caller treats the frame as malformed (connection-fatal, §5).
+// or a count above its limit is rejected, and the caller treats the frame
+// as malformed (connection-fatal, §5).
 //
 // Decoding performs *syntactic* validation only. Authenticity and content
 // integrity stay where the protocol already puts them: the Schnorr
-// signature inside VoteListMessage/VoteDeltaMessage/Moderation and the
-// digest checksum binding rule — a decoded-but-forged message is rejected
-// by the same vote::ReceiveResult::kBadSignature accounting the simulator's
-// fault plane uses.
+// signature inside VoteListMessage/Moderation — a decoded-but-forged
+// message is rejected by the same vote::ReceiveResult::kBadSignature
+// accounting the simulator's fault plane uses.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include "moderation/moderation.hpp"
 #include "net/frame.hpp"
 #include "vote/agent.hpp"
-#include "vote/gossip.hpp"
 #include "vote/ranking.hpp"
 
 namespace tribvote::net {
@@ -27,8 +25,6 @@ namespace tribvote::net {
 // the repo ships (max_votes_per_message defaults to 50) while bounding what
 // a malicious peer can make a node allocate.
 inline constexpr std::size_t kMaxVoteEntries = 4096;
-inline constexpr std::size_t kMaxDigestEntries = 4096;
-inline constexpr std::size_t kMaxDeltaIndices = 4096;
 inline constexpr std::size_t kMaxTopK = 64;
 inline constexpr std::size_t kMaxModItems = 1024;
 inline constexpr std::size_t kMaxDescriptionBytes = 4096;
@@ -81,12 +77,6 @@ struct PeerExchangeMessage {
     const EncounterBegin& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_vote_full(
     const vote::VoteListMessage& m);
-[[nodiscard]] std::vector<std::uint8_t> encode_vote_digest(
-    const vote::VoteDigestMessage& m);
-[[nodiscard]] std::vector<std::uint8_t> encode_delta_request(
-    const std::vector<std::size_t>& missing);
-[[nodiscard]] std::vector<std::uint8_t> encode_vote_delta(
-    const vote::VoteDeltaMessage& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_vox_topk(
     const vote::RankedList& list);
 [[nodiscard]] std::vector<std::uint8_t> encode_mod_batch(
@@ -102,14 +92,6 @@ struct PeerExchangeMessage {
                                           EncounterBegin& out);
 [[nodiscard]] bool decode_vote_full(const std::vector<std::uint8_t>& p,
                                     vote::VoteListMessage& out);
-[[nodiscard]] bool decode_vote_digest(const std::vector<std::uint8_t>& p,
-                                      vote::VoteDigestMessage& out);
-/// Indices must be strictly increasing (PROTOCOL.md §4.6); the upper bound
-/// against the pending full message is the engine's to check.
-[[nodiscard]] bool decode_delta_request(const std::vector<std::uint8_t>& p,
-                                        std::vector<std::size_t>& out);
-[[nodiscard]] bool decode_vote_delta(const std::vector<std::uint8_t>& p,
-                                     vote::VoteDeltaMessage& out);
 [[nodiscard]] bool decode_vox_topk(const std::vector<std::uint8_t>& p,
                                    vote::RankedList& out);
 [[nodiscard]] bool decode_mod_batch(const std::vector<std::uint8_t>& p,

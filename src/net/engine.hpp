@@ -3,9 +3,9 @@
 // One ExchangeEngine drives both roles of one connection: the initiator
 // side runs the encounters this node opens (on its own channel), the
 // responder side serves the peer's (on the other channel). The per-agent
-// call sequence is exactly vote::vote_encounter's — outgoing_votes /
-// build_delta / note_counterpart on the sender, scan_digest / receive_* on
-// the receiver, answer_topk after both legs — so a completed wire encounter
+// call sequence is exactly vote::vote_encounter's — outgoing_votes on the
+// sender, receive_votes on the receiver, answer_topk after both legs — so
+// a completed wire encounter
 // leaves both agents in bit-identical state to the simulator running the
 // same pair at the same timestamp (DESIGN.md §13; verified by
 // tests/net_engine_test.cpp and tests/net_socket_test.cpp).
@@ -31,21 +31,21 @@ namespace tribvote::net {
 class ExchangeEngine {
  public:
   /// Protocol-level accounting. The signature/rejection counters play the
-  /// same role the PR 4 fault plane's FaultStats do in the simulator: a
-  /// frame that decodes but fails its Schnorr signature (or digest binding)
-  /// lands in votes_rejected / mod_rejected, never in the ballot box.
+  /// same role the fault plane's FaultStats do in the simulator: a frame
+  /// that decodes but fails its Schnorr signature lands in votes_rejected /
+  /// mod_rejected, never in the ballot box.
   struct Counters {
     std::uint64_t encounters_completed = 0;  ///< as initiator
     std::uint64_t encounters_served = 0;     ///< as responder
     std::uint64_t mod_completed = 0;
     std::uint64_t mod_served = 0;
-    std::uint64_t open_full = 0;     ///< legs this node opened with VOTE_FULL
-    std::uint64_t open_digest = 0;   ///< legs opened with VOTE_DIGEST
+    std::uint64_t open_full = 0;     ///< vote-list legs this node sent
+    /// Always 0 (the digest frame is retired); the next benchmark change
+    /// drops it.
+    std::uint64_t open_digest = 0;
     std::uint64_t votes_accepted = 0;
-    std::uint64_t votes_rejected = 0;  ///< kBadSignature verdicts (PR 4 role)
+    std::uint64_t votes_rejected = 0;  ///< kBadSignature verdicts
     std::uint64_t votes_inexperienced = 0;
-    std::uint64_t fallbacks_requested = 0;  ///< broken digest seen, asked full
-    std::uint64_t fallbacks_served = 0;     ///< peer asked full for our digest
     std::uint64_t vox_answered = 0;  ///< non-null top-K merged (initiator)
     std::uint64_t vox_null = 0;
     std::uint64_t mod_rejected = 0;  ///< item-wise bad signatures received
@@ -80,9 +80,8 @@ class ExchangeEngine {
   bool begin_moderation_encounter(Time now, std::vector<Frame>& out);
 
   /// Feed one decoded frame, appending any responses to `out`. Returns
-  /// false on a protocol error — an out-of-state frame, an undecodable
-  /// payload or an invalid delta-request — after which the connection must
-  /// be dropped (PROTOCOL.md §5).
+  /// false on a protocol error — an out-of-state frame or an undecodable
+  /// payload — after which the connection must be dropped (PROTOCOL.md §5).
   bool on_frame(const Frame& frame, std::vector<Frame>& out);
 
   /// Invoked when a peer-initiated encounter opens (ENC_BEGIN decoded,
@@ -99,45 +98,25 @@ class ExchangeEngine {
  private:
   enum class IState : std::uint8_t {
     kIdle,
-    kAwaitDeltaRequest,    ///< sent digest; peer scans it
-    kAwaitReverseOpen,     ///< our leg done; peer's leg not yet opened
-    kAwaitReverseDelta,    ///< requested missing entries of peer's digest
-    kAwaitReverseFull,     ///< peer's digest broken; asked full retransmit
+    kAwaitReverse,         ///< our vote list sent; the peer's is next
     kAwaitVox,             ///< sent VOX_REQUEST
     kAwaitModBatch,        ///< sent our moderation batch
   };
   enum class RState : std::uint8_t {
     kIdle,
-    kAwaitOpen,            ///< ENC_BEGIN(vote) seen; initiator's leg next
-    kAwaitDelta,           ///< requested missing entries of their digest
-    kAwaitFullRetry,       ///< their digest broken; asked full retransmit
-    kAwaitDeltaRequest,    ///< our reverse digest out; they scan it
+    kAwaitOpen,            ///< ENC_BEGIN(vote) seen; initiator's list next
     kAwaitWrap,            ///< both legs done; VOX_REQUEST or ENC_END next
     kAwaitModBatch,        ///< ENC_BEGIN(moderation) seen
     kAwaitModEnd,          ///< our batch sent; ENC_END next
   };
 
-  /// Per-role working state for the encounter in flight.
-  struct Leg {
-    Time now = 0;
-    vote::VoteListMessage full;           ///< our built message (sender side)
-    bool pending_full = false;
-    vote::VoteDigestMessage peer_digest;  ///< their digest (receiver side)
-    std::vector<std::size_t> missing;
-  };
-
   bool on_initiator_frame(const Frame& frame, std::vector<Frame>& out);
   bool on_responder_frame(const Frame& frame, std::vector<Frame>& out);
 
-  /// Build our leg's opening frame (digest when the counterpart memory
-  /// allows, full otherwise; same predicate as vote::gossip_send). Returns
-  /// true when it opened with a digest.
-  bool open_leg(Leg& leg, std::uint8_t channel, std::vector<Frame>& out);
-  /// Serve a delta-request / full-request against our pending full message.
-  bool serve_delta_request(Leg& leg, const Frame& frame, std::uint8_t channel,
-                           std::vector<Frame>& out);
-  void serve_full_retry(Leg& leg, std::uint8_t channel,
-                        std::vector<Frame>& out);
+  /// Send our leg: this node's signed vote list as one VOTE_FULL frame.
+  void send_votes(Time now, std::uint8_t channel, std::vector<Frame>& out);
+  /// Decode a VOTE_FULL frame and merge it; false when it does not decode.
+  bool receive_votes(const Frame& frame, Time now);
   void note_receive(vote::ReceiveResult result);
   /// After the reverse leg completes on the initiator side: VP or wrap up.
   void initiator_wrap(std::vector<Frame>& out);
@@ -154,8 +133,8 @@ class ExchangeEngine {
 
   IState i_state_ = IState::kIdle;
   RState r_state_ = RState::kIdle;
-  Leg i_leg_;
-  Leg r_leg_;
+  Time i_now_ = 0;  ///< timestamp of the encounter this node initiated
+  Time r_now_ = 0;  ///< timestamp of the encounter this node serves
   /// The shared begin/finish encounter core for the encounter this node
   /// currently initiates — the same object vote::vote_encounter composes,
   /// so the VP decision and merge run through identical code on both

@@ -12,10 +12,6 @@ bool valid_frame_type(std::uint8_t type) {
     case FrameType::kEncounterEnd:
     case FrameType::kBye:
     case FrameType::kVoteFull:
-    case FrameType::kVoteDigest:
-    case FrameType::kVoteDeltaRequest:
-    case FrameType::kVoteDelta:
-    case FrameType::kVoteFullRequest:
     case FrameType::kVoxRequest:
     case FrameType::kVoxTopK:
     case FrameType::kModBatch:

@@ -4,7 +4,7 @@
 //   offset  size  field
 //   0       1     magic 'T' (0x54)
 //   1       1     magic 'V' (0x56)
-//   2       1     wire version (currently 1)
+//   2       1     wire version (currently 2)
 //   3       1     frame type (FrameType; unknown values are fatal)
 //   4       1     channel (0 = connector-initiated encounter, 1 = acceptor-
 //                 initiated; resolves simultaneous initiation, §3)
@@ -34,7 +34,7 @@ namespace tribvote::net {
 
 inline constexpr std::uint8_t kMagic0 = 0x54;  // 'T'
 inline constexpr std::uint8_t kMagic1 = 0x56;  // 'V'
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr std::size_t kMaxPayload = 1U << 20;
 
@@ -44,10 +44,7 @@ enum class FrameType : std::uint8_t {
   kEncounterEnd = 0x03,
   kBye = 0x04,
   kVoteFull = 0x10,
-  kVoteDigest = 0x11,
-  kVoteDeltaRequest = 0x12,
-  kVoteDelta = 0x13,
-  kVoteFullRequest = 0x14,
+  // 0x11-0x14 are retired (wire version 1's digest/delta gossip) and fatal.
   kVoxRequest = 0x15,
   kVoxTopK = 0x16,
   kModBatch = 0x20,

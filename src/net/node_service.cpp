@@ -281,12 +281,9 @@ ExchangeEngine::Counters NodeService::engine_totals() const {
     total.mod_completed += e.mod_completed;
     total.mod_served += e.mod_served;
     total.open_full += e.open_full;
-    total.open_digest += e.open_digest;
     total.votes_accepted += e.votes_accepted;
     total.votes_rejected += e.votes_rejected;
     total.votes_inexperienced += e.votes_inexperienced;
-    total.fallbacks_requested += e.fallbacks_requested;
-    total.fallbacks_served += e.fallbacks_served;
     total.vox_answered += e.vox_answered;
     total.vox_null += e.vox_null;
     total.mod_rejected += e.mod_rejected;

@@ -19,10 +19,10 @@
 //   TRIBVOTE_TELEMETRY     telemetry spec: "off" (default — the goldens'
 //                          setting), "counters", or "trace", optionally
 //                          with ",trace_out=FILE" / ",csv=FILE"
-//   TRIBVOTE_GOSSIP_CACHE  vote-history cache + delta gossip: "on"
-//                          (default) or "off". Semantically transparent —
-//                          goldens are byte-identical either way; the knob
-//                          exists for A/B perf runs and identity smokes
+//   TRIBVOTE_GOSSIP_CACHE  vote-history signature cache: "on" (default)
+//                          or "off". Semantically transparent — goldens
+//                          are byte-identical either way; the knob exists
+//                          for A/B perf runs and identity smokes
 //   TRIBVOTE_ADVERSARY     adversary-plane roster spec, e.g.
 //                          "attrition:n=20,rate=4;sybil:n=16,region=4"
 //                          (default: empty — no plane, the goldens'

@@ -31,8 +31,7 @@ VoteAgent::VoteAgent(PeerId self, const crypto::KeyPair& keys,
       box_(config.b_max),
       observed_(config.b_max),
       vox_(config.v_max, config.k),
-      nonce_rng_(rng.derive(0x6e6f6e6365ULL)),  // "nonce"
-      counterparts_(config.gossip_memory) {
+      nonce_rng_(rng.derive(0x6e6f6e6365ULL)) {  // "nonce"
   assert(experienced_);
   assert(config_.b_min <= config_.b_max);
 }
@@ -83,106 +82,15 @@ ReceiveResult VoteAgent::receive_votes(const VoteListMessage& message,
   if (!crypto::verify(message.key, message.digest(), message.signature)) {
     return ReceiveResult::kBadSignature;  // forged or corrupted
   }
-  return absorb_votes(message.voter, message.votes, now);
-}
-
-ReceiveResult VoteAgent::absorb_votes(PeerId voter,
-                                      const std::vector<VoteEntry>& votes,
-                                      Time now) {
-  if (votes.empty()) return ReceiveResult::kEmpty;
+  if (message.votes.empty()) return ReceiveResult::kEmpty;
   // Every authentic message feeds the observed-dispersion signal, even
   // when the experience function rejects its votes.
-  observed_.merge(voter, votes, now);
-  if (!experienced_(voter)) {
+  observed_.merge(message.voter, message.votes, now);
+  if (!experienced_(message.voter)) {
     return ReceiveResult::kInexperienced;  // E_i(j) = false
   }
-  box_.merge(voter, votes, now);
+  box_.merge(message.voter, message.votes, now);
   return ReceiveResult::kAccepted;
-}
-
-std::optional<VoteEntry> VoteAgent::covered_by(PeerId voter,
-                                               const DigestEntry& entry) const {
-  if (auto held = box_.find(voter, entry.moderator);
-      held && entry_check(*held) == entry.check) {
-    return held;
-  }
-  if (auto seen = observed_.find(voter, entry.moderator);
-      seen && entry_check(*seen) == entry.check) {
-    return seen;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::size_t> VoteAgent::scan_digest(
-    const VoteDigestMessage& digest) const {
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < digest.entries.size(); ++i) {
-    if (!covered_by(digest.voter, digest.entries[i])) missing.push_back(i);
-  }
-  return missing;
-}
-
-VoteDeltaMessage VoteAgent::build_delta(
-    const VoteListMessage& full, const std::vector<std::size_t>& missing) {
-  VoteDeltaMessage delta;
-  delta.voter = self_;
-  delta.key = keys_->pub;
-  delta.bound_checksum = make_digest(full).checksum;
-  delta.votes.reserve(missing.size());
-  for (const std::size_t pos : missing) {
-    assert(pos < full.votes.size());
-    delta.votes.push_back(full.votes[pos]);
-  }
-  delta.signature = crypto::sign(*keys_, delta.digest(), nonce_rng_);
-  ++gossip_stats_.signatures;
-  return delta;
-}
-
-ReceiveResult VoteAgent::receive_delta(const VoteDigestMessage& digest,
-                                       const VoteDeltaMessage* delta,
-                                       Time now) {
-  if (digest.voter == self_) return ReceiveResult::kSelfMessage;
-  if (!digest_intact(digest)) return ReceiveResult::kBadSignature;
-  const std::vector<std::size_t> missing = scan_digest(digest);
-  if (delta == nullptr) {
-    if (!missing.empty()) return ReceiveResult::kBadSignature;
-  } else {
-    // Bind the delta to this digest and this identity, size it against the
-    // scan, verify its one signature, then pin every carried entry to the
-    // digest line it fills. Any mismatch rejects wholesale.
-    if (delta->voter != digest.voter || !(delta->key == digest.key) ||
-        delta->bound_checksum != digest.checksum ||
-        delta->votes.size() != missing.size()) {
-      return ReceiveResult::kBadSignature;
-    }
-    if (!crypto::verify(delta->key, delta->digest(), delta->signature)) {
-      return ReceiveResult::kBadSignature;
-    }
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      const DigestEntry& line = digest.entries[missing[i]];
-      if (delta->votes[i].moderator != line.moderator ||
-          entry_check(delta->votes[i]) != line.check) {
-        return ReceiveResult::kBadSignature;
-      }
-    }
-  }
-  // Reconstruct the exact vector the sender selected, in digest order, and
-  // absorb it through the common path — received-timestamp refreshes and
-  // eviction order come out bit-identical to a full exchange.
-  std::vector<VoteEntry> votes;
-  votes.reserve(digest.entries.size());
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < digest.entries.size(); ++i) {
-    if (cursor < missing.size() && missing[cursor] == i) {
-      votes.push_back(delta->votes[cursor]);
-      ++cursor;
-    } else {
-      const auto held = covered_by(digest.voter, digest.entries[i]);
-      if (!held) return ReceiveResult::kBadSignature;  // unreachable
-      votes.push_back(*held);
-    }
-  }
-  return absorb_votes(digest.voter, votes, now);
 }
 
 std::map<ModeratorId, Tally> VoteAgent::augmented_tally() const {
@@ -226,7 +134,6 @@ std::uint64_t VoteAgent::state_digest() const {
   h = util::hash_combine(h, box_.digest());
   h = util::hash_combine(h, observed_.digest());
   h = util::hash_combine(h, vox_.digest());
-  h = util::hash_combine(h, counterparts_.digest());
   return h;
 }
 
@@ -240,54 +147,11 @@ GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
                              WireFault fault, std::uint64_t salt) {
   GossipLegOutcome leg;
   const GossipStats before = sender.gossip_stats();
-  VoteListMessage full = sender.outgoing_votes(now);
-  leg.list_size = full.votes.size();
-  const bool use_delta = sender.config().gossip_cache && !full.votes.empty() &&
-                         sender.counterparts().known(receiver.self());
-  if (!use_delta) {
-    damage_message(full, fault, salt);
-    leg.bytes = wire_size(full);
-    leg.result = receiver.receive_votes(full, now);
-  } else {
-    VoteDigestMessage digest = make_digest(full);
-    // The fault verdict hits exactly one frame of the leg; the salt routes
-    // it to the digest or to the delta, deterministically.
-    const bool hit_digest = fault != WireFault::kNone && ((salt >> 6) & 1) == 0;
-    if (hit_digest) damage_digest(digest, fault, salt);
-    leg.bytes = wire_size(digest);
-    if (!digest_intact(digest)) {
-      // Receiver can't trust the frame — it requests a full retransmit.
-      // The leg's verdict damages that frame too (one verdict poisons the
-      // leg), so it still rejects, exactly like the legacy full path.
-      leg.fallback_full = true;
-      VoteListMessage retry = full;
-      damage_message(retry, fault, salt);
-      leg.bytes += wire_size(retry);
-      leg.result = receiver.receive_votes(retry, now);
-    } else {
-      leg.delta = true;
-      const std::vector<std::size_t> missing = receiver.scan_digest(digest);
-      leg.bytes += kFrameHeaderBytes + missing.size() * kRequestBytes;
-      if (fault != WireFault::kNone) {
-        // Damage routed to the delta: ship one even when nothing is
-        // missing, so the leg deterministically rejects with nothing
-        // merged — the same outcome a damaged full message produces.
-        VoteDeltaMessage delta = sender.build_delta(full, missing);
-        damage_delta(delta, fault, salt);
-        leg.bytes += wire_size(delta);
-        leg.result = receiver.receive_delta(digest, &delta, now);
-      } else if (missing.empty()) {
-        // Steady state: the digest alone closes the leg — no payload, no
-        // signing at all.
-        leg.result = receiver.receive_delta(digest, nullptr, now);
-      } else {
-        VoteDeltaMessage delta = sender.build_delta(full, missing);
-        leg.bytes += wire_size(delta);
-        leg.result = receiver.receive_delta(digest, &delta, now);
-      }
-    }
-  }
-  if (sender.config().gossip_cache) sender.note_counterpart(receiver.self());
+  VoteListMessage msg = sender.outgoing_votes(now);
+  leg.list_size = msg.votes.size();
+  damage_message(msg, fault, salt);
+  leg.bytes = wire_size(msg);
+  leg.result = receiver.receive_votes(msg, now);
   const GossipStats& after = sender.gossip_stats();
   leg.cache_hit = after.cache_hits > before.cache_hits;
   leg.signatures =

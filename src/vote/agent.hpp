@@ -33,11 +33,9 @@ struct VoteConfig {
   std::size_t max_votes_per_message = 50;
   SelectionPolicy selection = SelectionPolicy::kRecencyRandom;
   RankMethod method = RankMethod::kSum;
-  /// Vote-history cache + digest-first delta gossip (semantically
-  /// transparent; TRIBVOTE_GOSSIP_CACHE=off disables for A/B runs).
+  /// Vote-history signature cache (semantically transparent;
+  /// TRIBVOTE_GOSSIP_CACHE=off disables it for A/B runs).
   bool gossip_cache = true;
-  /// Capacity of the per-node counterpart memory gating delta exchanges.
-  std::size_t gossip_memory = 64;
 };
 
 /// Cumulative gossip-side work counters for one agent (monotone; sample
@@ -104,35 +102,9 @@ class VoteAgent {
   /// box); the result says why.
   ReceiveResult receive_votes(const VoteListMessage& message, Time now);
 
-  // ---- protocol: digest-first delta gossip (see gossip.hpp) ---------------
-
-  /// Which digest positions this node cannot cover from its own verified
-  /// stores (ballot box, then observed box) — the entries it would request.
-  [[nodiscard]] std::vector<std::size_t> scan_digest(
-      const VoteDigestMessage& digest) const;
-
-  /// Only the digest entries at `missing` positions of `full`, bound to the
-  /// digest's checksum under one signature. Counts one signing operation.
-  [[nodiscard]] VoteDeltaMessage build_delta(
-      const VoteListMessage& full, const std::vector<std::size_t>& missing);
-
-  /// Complete a delta exchange: validate the delta against the digest
-  /// (binding, sizes, per-entry checks, one signature), reconstruct the
-  /// exact full vote vector — covered entries from local stores, missing
-  /// ones from the delta — and merge it through the same path a full
-  /// message takes. `delta` may be null when the scan covers everything.
-  /// Any mismatch rejects wholesale as kBadSignature; nothing is merged.
-  ReceiveResult receive_delta(const VoteDigestMessage& digest,
-                              const VoteDeltaMessage* delta, Time now);
-
   [[nodiscard]] const GossipStats& gossip_stats() const noexcept {
     return gossip_stats_;
   }
-  [[nodiscard]] const CounterpartMemory& counterparts() const noexcept {
-    return counterparts_;
-  }
-  /// Record a completed exchange with `peer` (enables delta next time).
-  void note_counterpart(PeerId peer) { counterparts_.note(peer); }
 
   // ---- protocol: VoxPopuli ------------------------------------------------
 
@@ -199,11 +171,11 @@ class VoteAgent {
   }
 
   /// Fingerprint of the agent's complete protocol state: vote list (with
-  /// version), ballot box, observed box, VoxPopuli cache and counterpart
-  /// memory. Two agents with equal digests are indistinguishable to every
-  /// future protocol step. The transport-equivalence tests (DESIGN.md §13)
-  /// compare this across the sim and socket paths; work counters
-  /// (gossip_stats) are deliberately excluded — they are effort, not state.
+  /// version), ballot box, observed box and VoxPopuli cache. Two agents
+  /// with equal digests are indistinguishable to every future protocol
+  /// step. The transport-equivalence tests (DESIGN.md §13) compare this
+  /// across the sim and socket paths; work counters (gossip_stats) are
+  /// deliberately excluded — they are effort, not state.
   [[nodiscard]] std::uint64_t state_digest() const;
 
  protected:
@@ -223,16 +195,6 @@ class VoteAgent {
   VoxPopuliCache vox_;
 
  private:
-  /// Shared tail of receive_votes/receive_delta: observed merge, experience
-  /// gate, ballot-box merge — identical state transitions on both paths.
-  ReceiveResult absorb_votes(PeerId voter, const std::vector<VoteEntry>& votes,
-                             Time now);
-
-  /// A locally held vote on (voter, entry.moderator) whose content matches
-  /// the digest check, if any (ballot box first, then observed box).
-  [[nodiscard]] std::optional<VoteEntry> covered_by(
-      PeerId voter, const DigestEntry& entry) const;
-
   /// True when select_for_message for the current config draws no
   /// randomness, i.e. its output is a pure function of the vote list.
   [[nodiscard]] bool selection_deterministic() const;
@@ -243,7 +205,6 @@ class VoteAgent {
   /// the selection policy consumes.
   util::Rng nonce_rng_;
   GossipStats gossip_stats_;
-  CounterpartMemory counterparts_;
 
   // Vote-history cache: the selected-and-signed message for the current
   // (vote-list version, policy, max_votes), valid only while selection is
@@ -259,18 +220,15 @@ class VoteAgent {
 /// Outcome of one directed gossip leg (sender → receiver), for telemetry.
 struct GossipLegOutcome {
   ReceiveResult result = ReceiveResult::kBadSignature;
-  std::size_t bytes = 0;       ///< wire bytes this leg (all frames)
+  std::size_t bytes = 0;       ///< wire bytes of the vote-list frame
   std::size_t list_size = 0;   ///< selected entries in the sender's message
-  bool delta = false;          ///< completed via the digest/delta protocol
-  bool fallback_full = false;  ///< damaged digest forced a full retransmit
   bool cache_hit = false;      ///< sender served from the vote-history cache
   std::uint32_t signatures = 0;  ///< signing ops the sender performed
 };
 
-/// One directed vote transfer from `sender` to `receiver`, choosing the
-/// full-message or digest-first delta path and applying the transit fault
-/// (if any) to whichever frame the salt routes it to. With the gossip
-/// cache off this degrades to exactly the legacy full exchange.
+/// One directed vote transfer from `sender` to `receiver`: the sender's
+/// signed full vote list, with the transit fault (if any) applied before
+/// the receiver verifies it.
 GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
                              WireFault fault = WireFault::kNone,
                              std::uint64_t salt = 0);

@@ -60,8 +60,7 @@ class BallotBox {
   /// incremental map is property-tested against.
   [[nodiscard]] std::map<ModeratorId, Tally> recompute_tally() const;
 
-  /// The vote this box currently holds for (voter, moderator), if any —
-  /// lets the gossip digest scan ask "do I already have this exact vote?"
+  /// The vote this box currently holds for (voter, moderator), if any,
   /// without exposing the entry map.
   [[nodiscard]] std::optional<VoteEntry> find(PeerId voter,
                                               ModeratorId moderator) const;

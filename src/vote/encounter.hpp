@@ -79,9 +79,8 @@ class Encounter {
 };
 
 /// One full encounter of `initiator` with a PSS-sampled `responder`:
-/// mutual vote-list exchange (full or digest-first delta per leg, decided
-/// by each sender's counterpart memory), then the conditional VP leg. A
-/// node's outgoing message never depends on what it just received, so the
+/// mutual exchange of signed full vote lists, then the conditional VP leg.
+/// A node's outgoing message never depends on what it just received, so the
 /// sequential legs are bit-identical to a simultaneous build-then-merge.
 VoteEncounterOutcome vote_encounter(VoteAgent& initiator,
                                     VoteAgent& responder, Time now);

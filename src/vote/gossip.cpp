@@ -1,73 +1,12 @@
 #include "vote/gossip.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <utility>
-
-#include "util/hash.hpp"
 #include "vote/agent.hpp"
 
 namespace tribvote::vote {
 
-std::uint64_t entry_check(const VoteEntry& v) {
-  return util::digest_fields(
-      {static_cast<std::uint64_t>(
-           static_cast<std::int64_t>(opinion_value(v.opinion))),
-       static_cast<std::uint64_t>(v.cast_at)});
-}
-
-namespace {
-
-std::uint64_t digest_checksum(const VoteDigestMessage& digest) {
-  std::uint64_t h =
-      util::digest_fields({digest.voter, digest.key.y, digest.entries.size()});
-  for (const DigestEntry& e : digest.entries) {
-    h = util::hash_combine(h, util::digest_fields({e.moderator, e.check}));
-  }
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t VoteDeltaMessage::digest() const {
-  std::uint64_t h =
-      util::digest_fields({voter, key.y, bound_checksum, votes.size()});
-  for (const VoteEntry& v : votes) {
-    h = util::hash_combine(
-        h, util::digest_fields({v.moderator, entry_check(v)}));
-  }
-  return h;
-}
-
-VoteDigestMessage make_digest(const VoteListMessage& full) {
-  VoteDigestMessage digest;
-  digest.voter = full.voter;
-  digest.key = full.key;
-  digest.entries.reserve(full.votes.size());
-  for (const VoteEntry& v : full.votes) {
-    digest.entries.push_back(DigestEntry{v.moderator, entry_check(v)});
-  }
-  digest.checksum = digest_checksum(digest);
-  return digest;
-}
-
-bool digest_intact(const VoteDigestMessage& digest) {
-  return digest.checksum == digest_checksum(digest);
-}
-
 std::size_t wire_size(const VoteListMessage& msg) {
   return kFrameHeaderBytes + kSignatureBytes +
          msg.votes.size() * kVoteEntryBytes;
-}
-
-std::size_t wire_size(const VoteDigestMessage& digest) {
-  return kFrameHeaderBytes + kChecksumBytes +
-         digest.entries.size() * kDigestEntryBytes;
-}
-
-std::size_t wire_size(const VoteDeltaMessage& delta) {
-  return kFrameHeaderBytes + kChecksumBytes + kSignatureBytes +
-         delta.votes.size() * kVoteEntryBytes;
 }
 
 void damage_message(VoteListMessage& msg, WireFault fault,
@@ -86,69 +25,6 @@ void damage_message(VoteListMessage& msg, WireFault fault,
       msg.signature.s ^= std::uint64_t{1} << (salt & 63);
       return;
   }
-}
-
-void damage_digest(VoteDigestMessage& digest, WireFault fault,
-                   std::uint64_t salt) {
-  switch (fault) {
-    case WireFault::kNone:
-      return;
-    case WireFault::kTruncated:
-      // The stored checksum now covers entries that were cut off.
-      digest.entries.resize(digest.entries.size() / 2);
-      return;
-    case WireFault::kCorrupted:
-      digest.checksum ^= std::uint64_t{1} << (salt & 63);
-      return;
-  }
-}
-
-void damage_delta(VoteDeltaMessage& delta, WireFault fault,
-                  std::uint64_t salt) {
-  switch (fault) {
-    case WireFault::kNone:
-      return;
-    case WireFault::kTruncated:
-      if (delta.votes.empty()) {
-        delta.signature.s ^= 1;
-      } else {
-        delta.votes.resize(delta.votes.size() / 2);
-      }
-      return;
-    case WireFault::kCorrupted:
-      delta.signature.s ^= std::uint64_t{1} << (salt & 63);
-      return;
-  }
-}
-
-void CounterpartMemory::note(PeerId peer) {
-  if (capacity_ == 0) return;
-  const auto it = peers_.find(peer);
-  if (it != peers_.end()) {
-    it->second = next_stamp_++;
-    return;
-  }
-  if (peers_.size() >= capacity_) {
-    // Evict the least recently exchanged counterpart. Stamps are unique,
-    // so the victim is well-defined regardless of hash-map iteration order.
-    auto victim = peers_.begin();
-    for (auto p = peers_.begin(); p != peers_.end(); ++p) {
-      if (p->second < victim->second) victim = p;
-    }
-    peers_.erase(victim);
-  }
-  peers_.emplace(peer, next_stamp_++);
-}
-
-std::uint64_t CounterpartMemory::digest() const {
-  std::vector<std::pair<PeerId, std::uint64_t>> items(peers_.begin(),
-                                                      peers_.end());
-  std::sort(items.begin(), items.end());
-  std::uint64_t h = util::digest_fields({capacity_, next_stamp_, items.size()});
-  for (const auto& [peer, stamp] : items) {
-    h = util::hash_combine(h, util::digest_fields({peer, stamp}));
-  }
-  return h;
 }
 
 }  // namespace tribvote::vote

@@ -366,7 +366,7 @@ TEST(Runner, FaultedShardCountInvariance) {
 }
 
 TEST(Runner, GossipCacheTransparency) {
-  // Acceptance bar for the vote-history cache + delta gossip: the cache is
+  // Acceptance bar for the vote-history signature cache: the cache is
   // semantically transparent. Runs with the cache on (default) and off are
   // byte-identical, at shards {1, 4, 8}, with faults off and on.
   const trace::Trace tr = small_trace();

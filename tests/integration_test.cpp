@@ -234,14 +234,11 @@ TEST(Integration, ChaosTransportNeverCrashesNorPoisons) {
   // Progress under fire: the protocols did not deadlock or wedge.
   EXPECT_GT(runner.stats().vote_exchanges, 0u);
   EXPECT_GT(runner.stats().votes_accepted, 0u);
-  // The delta gossip path ran under chaos: digests opened exchanges,
-  // damaged digests fell back to full retransmits, the vote-history cache
-  // served warm messages — and none of it poisoned a box (corruption was
-  // fully accounted as rejections above).
+  // Vote lists flowed under chaos and the vote-history cache served warm
+  // messages — and none of it poisoned a box (corruption was fully
+  // accounted as rejections above).
   const telemetry::Registry& reg = runner.telemetry()->registry();
-  EXPECT_GT(reg.total_by_name("gossip.delta_exchanges"), 0u);
   EXPECT_GT(reg.total_by_name("gossip.full_exchanges"), 0u);
-  EXPECT_GT(reg.total_by_name("gossip.digest_fallbacks"), 0u);
   EXPECT_GT(reg.total_by_name("gossip.cache_hits"), 0u);
   EXPECT_GT(reg.total_by_name("gossip.bytes_sent"),
             reg.total_by_name("gossip.signatures"));

@@ -1,12 +1,13 @@
 // Wire-format conformance for the net:: plane (PROTOCOL.md).
 //
 // Covers: CRC-32 vectors, frame encode/parse round trips (including
-// byte-at-a-time feeds), header rejection for every malformed field, CRC
-// rejection under payload bit flips, codec round trips for every message
-// type, strict-decoder rejection (truncation at every length, trailing
-// bytes, out-of-range opinions, oversized counts, unsorted delta
-// requests), the PR 4 accounting rule that a decoded-but-forged message
-// rejects as kBadSignature, and the doc-freshness gate comparing
+// byte-at-a-time feeds), header rejection for every malformed field
+// (including the retired version 1 and its frame types), CRC rejection
+// under payload bit flips, codec round trips for every message type,
+// strict-decoder rejection (truncation at every length, trailing bytes,
+// out-of-range opinions, oversized counts), the fault-plane accounting
+// rule that a decoded-but-forged message rejects as kBadSignature, and
+// the doc-freshness gate comparing
 // codec_abi_digest() against the machine-readable line in PROTOCOL.md.
 #include <gtest/gtest.h>
 
@@ -109,6 +110,12 @@ TEST(FrameLayer, MalformedHeadersAreFatal) {
       {4, 0x02, "channel"},   {5, 0x01, "reserved[0]"},
       {6, 0x01, "reserved[1]"}, {7, 0x01, "reserved[2]"},
       {11, 0xFF, "length > max"},
+      // Wire version 1 and its digest/delta frame types are retired.
+      {2, 0x01, "retired version 1"},
+      {3, 0x11, "retired VOTE_DIGEST"},
+      {3, 0x12, "retired VOTE_DELTA_REQUEST"},
+      {3, 0x13, "retired VOTE_DELTA"},
+      {3, 0x14, "retired VOTE_FULL_REQUEST"},
   };
   for (const Case& c : cases) {
     std::vector<std::uint8_t> bad = good;
@@ -128,7 +135,7 @@ TEST(FrameLayer, MalformedHeadersAreFatal) {
 
 TEST(FrameLayer, PayloadBitFlipsAreChecksumRejects) {
   std::vector<std::uint8_t> wire;
-  encode_frame(make_frame(FrameType::kVoteDelta, 1, {10, 20, 30, 40}), wire);
+  encode_frame(make_frame(FrameType::kVoteFull, 1, {10, 20, 30, 40}), wire);
   for (std::size_t i = kHeaderSize; i < wire.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<std::uint8_t> bad = wire;
@@ -225,62 +232,6 @@ TEST(NetCodec, VoteFullRoundTripPreservesSignatureValidity) {
   // The decoded message must still verify and merge on a receiving agent.
   Peer q = make_peer(2, 102);
   EXPECT_EQ(q.agent->receive_votes(out, 2000),
-            vote::ReceiveResult::kAccepted);
-}
-
-TEST(NetCodec, VoteDigestRoundTrip) {
-  Peer p = make_peer(1, 103);
-  const vote::VoteListMessage full = signed_message(p, 5, 1000);
-  const vote::VoteDigestMessage in = vote::make_digest(full);
-  vote::VoteDigestMessage out;
-  ASSERT_TRUE(decode_vote_digest(encode_vote_digest(in), out));
-  EXPECT_EQ(out.voter, in.voter);
-  EXPECT_EQ(out.key.y, in.key.y);
-  EXPECT_EQ(out.checksum, in.checksum);
-  ASSERT_EQ(out.entries.size(), in.entries.size());
-  for (std::size_t i = 0; i < in.entries.size(); ++i) {
-    EXPECT_EQ(out.entries[i].moderator, in.entries[i].moderator);
-    EXPECT_EQ(out.entries[i].check, in.entries[i].check);
-  }
-  EXPECT_TRUE(vote::digest_intact(out));
-}
-
-TEST(NetCodec, DeltaRequestRoundTripAndOrderRule) {
-  const std::vector<std::size_t> in{0, 3, 4, 17};
-  std::vector<std::size_t> out;
-  ASSERT_TRUE(decode_delta_request(encode_delta_request(in), out));
-  EXPECT_EQ(out, in);
-  ASSERT_TRUE(decode_delta_request(encode_delta_request({}), out));
-  EXPECT_TRUE(out.empty());
-
-  // Strictly increasing is normative (PROTOCOL.md §4.6): equal or
-  // descending neighbours are malformed.
-  EXPECT_FALSE(decode_delta_request(encode_delta_request({3, 3}), out));
-  EXPECT_FALSE(decode_delta_request(encode_delta_request({5, 2}), out));
-}
-
-TEST(NetCodec, VoteDeltaRoundTripCompletesExchange) {
-  Peer p = make_peer(1, 104);
-  Peer q = make_peer(2, 105);
-  const vote::VoteListMessage full = signed_message(p, 6, 1000);
-  const vote::VoteDigestMessage digest = vote::make_digest(full);
-  const std::vector<std::size_t> missing = q.agent->scan_digest(digest);
-  ASSERT_FALSE(missing.empty());
-  const vote::VoteDeltaMessage in = p.agent->build_delta(full, missing);
-
-  vote::VoteDeltaMessage out;
-  ASSERT_TRUE(decode_vote_delta(encode_vote_delta(in), out));
-  EXPECT_EQ(out.voter, in.voter);
-  EXPECT_EQ(out.key.y, in.key.y);
-  EXPECT_EQ(out.bound_checksum, in.bound_checksum);
-  EXPECT_EQ(out.signature.e, in.signature.e);
-  EXPECT_EQ(out.signature.s, in.signature.s);
-  ASSERT_EQ(out.votes.size(), in.votes.size());
-
-  // A decoded digest + decoded delta must complete the exchange.
-  vote::VoteDigestMessage digest2;
-  ASSERT_TRUE(decode_vote_digest(encode_vote_digest(digest), digest2));
-  EXPECT_EQ(q.agent->receive_delta(digest2, &out, 2000),
             vote::ReceiveResult::kAccepted);
 }
 
@@ -401,11 +352,7 @@ void expect_exact_length(const std::vector<std::uint8_t>& payload,
 
 TEST(NetCodecStrict, TruncationAndTrailingBytesRejectEverywhere) {
   Peer p = make_peer(1, 106);
-  Peer q = make_peer(2, 107);
   const vote::VoteListMessage full = signed_message(p, 4, 1000);
-  const vote::VoteDigestMessage digest = vote::make_digest(full);
-  const std::vector<std::size_t> missing = q.agent->scan_digest(digest);
-  const vote::VoteDeltaMessage delta = p.agent->build_delta(full, missing);
   util::Rng sig_rng(9);
   const std::vector<moderation::Moderation> batch{moderation::make_moderation(
       3, p.keys, 0xABCULL, "desc", 500, sig_rng)};
@@ -422,18 +369,6 @@ TEST(NetCodecStrict, TruncationAndTrailingBytesRejectEverywhere) {
   expect_exact_length(encode_vote_full(full), [](const auto& b) {
     vote::VoteListMessage m;
     return decode_vote_full(b, m);
-  });
-  expect_exact_length(encode_vote_digest(digest), [](const auto& b) {
-    vote::VoteDigestMessage m;
-    return decode_vote_digest(b, m);
-  });
-  expect_exact_length(encode_delta_request({0, 2}), [](const auto& b) {
-    std::vector<std::size_t> m;
-    return decode_delta_request(b, m);
-  });
-  expect_exact_length(encode_vote_delta(delta), [](const auto& b) {
-    vote::VoteDeltaMessage m;
-    return decode_vote_delta(b, m);
   });
   expect_exact_length(encode_vox_topk({4, 5}), [](const auto& b) {
     vote::RankedList m;
@@ -456,7 +391,7 @@ TEST(NetCodecStrict, OutOfRangeOpinionRejects) {
   Peer p = make_peer(1, 108);
   const vote::VoteListMessage full = signed_message(p, 1, 1000);
   std::vector<std::uint8_t> payload = encode_vote_full(full);
-  // Layout (§4.4): u32 voter, u64 key, u32 count, then entries of
+  // Layout (§4.3): u32 voter, u64 key, u32 count, then entries of
   // u32 moderator + i8 opinion + i64 cast_at. First opinion at offset 20.
   const std::size_t opinion_off = 4 + 8 + 4 + 4;
   ASSERT_LT(opinion_off, payload.size());

@@ -8,10 +8,9 @@
 // protocol is a faithful re-encoding of the sim's call sequence, not a
 // reimplementation that merely converges (DESIGN.md §13).
 //
-// Scenarios: cold full exchange, warm digest/delta, steady-state
-// digest-only close, broken-digest fallback to full, PR 4 fault verdicts
-// (digest-routed and delta-routed) with the sim's one-verdict-poisons-leg
-// rule, VoxPopuli bootstrap, and a moderation push/pull.
+// Scenarios: cold full exchange, a fault verdict on the forward vote list
+// (truncated or corrupted; the leg rejects wholesale on both paths),
+// VoxPopuli bootstrap, a moderation push/pull, and a long interleaved run.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -158,141 +157,41 @@ TEST(NetEngine, ColdExchangeOpensFullAndMatchesOracle) {
   expect_twins_match(a, b);
   EXPECT_EQ(e.a.counters().encounters_completed, 1u);
   EXPECT_EQ(e.b.counters().encounters_served, 1u);
-  EXPECT_EQ(e.a.counters().open_full, 1u);  // cold: no counterpart memory
+  EXPECT_EQ(e.a.counters().open_full, 1u);
   EXPECT_EQ(e.a.counters().open_digest, 0u);
   EXPECT_GE(e.b.counters().votes_accepted, 1u);
 }
 
-TEST(NetEngine, WarmExchangeUsesDigestDeltaAndMatchesOracle) {
-  Twin a = make_twin(1, 31);
-  Twin b = make_twin(2, 32);
-  a.cast(10, Opinion::kPositive, 50);
-  b.cast(11, Opinion::kNegative, 55);
-
-  EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
-  wire_encounter(e.a, e.b, 100);
-
-  // New votes since the first exchange: the warm leg opens with a digest
-  // and ships only the delta.
-  a.cast(12, Opinion::kPositive, 150);
-  b.cast(13, Opinion::kPositive, 160);
-  vote::vote_exchange(*a.sim, *b.sim, 200);
-  wire_encounter(e.a, e.b, 200);
-
-  expect_twins_match(a, b);
-  EXPECT_EQ(e.a.counters().open_digest, 1u);
-  EXPECT_GE(e.b.counters().open_digest, 1u);
-  EXPECT_EQ(e.a.counters().fallbacks_requested, 0u);
-}
-
-TEST(NetEngine, SteadyStateClosesOnDigestAloneAndMatchesOracle) {
-  Twin a = make_twin(1, 41);
-  Twin b = make_twin(2, 42);
-  a.cast(10, Opinion::kPositive, 50);
-  b.cast(11, Opinion::kNegative, 55);
-
-  EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
-  wire_encounter(e.a, e.b, 100);
-  // Nothing changed: both legs are digest-only, nothing to request.
-  vote::vote_exchange(*a.sim, *b.sim, 200);
-  wire_encounter(e.a, e.b, 200);
-
-  expect_twins_match(a, b);
-  EXPECT_EQ(e.a.counters().open_digest, 1u);
-  EXPECT_EQ(e.a.counters().votes_accepted, 2u);  // digest close still merges
-}
-
-TEST(NetEngine, BrokenDigestFallsBackToFullTransparently) {
-  Twin a = make_twin(1, 51);
-  Twin b = make_twin(2, 52);
-  a.cast(10, Opinion::kPositive, 50);
-  b.cast(11, Opinion::kNegative, 55);
-
-  EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
-  wire_encounter(e.a, e.b, 100);
-  a.cast(12, Opinion::kPositive, 150);
-
-  // Sim runs the clean exchange; the wire's forward digest is corrupted
-  // above the CRC (valid frame, lying checksum). The fallback full
-  // retransmit must land both twins in the same end state — the fallback
-  // is semantically transparent, it only costs bytes.
-  vote::vote_exchange(*a.sim, *b.sim, 200);
-  wire_encounter(e.a, e.b, 200, [](Frame& f) {
-    if (f.type != FrameType::kVoteDigest) return;
-    vote::VoteDigestMessage d;
-    ASSERT_TRUE(decode_vote_digest(f.payload, d));
-    d.checksum ^= 1;
-    f.payload = encode_vote_digest(d);
-  });
-
-  expect_twins_match(a, b);
-  EXPECT_EQ(e.b.counters().fallbacks_requested, 1u);
-  EXPECT_EQ(e.a.counters().fallbacks_served, 1u);
-}
-
-TEST(NetEngine, DigestRoutedFaultVerdictMatchesOracle) {
-  Twin a = make_twin(1, 61);
-  Twin b = make_twin(2, 62);
-  a.cast(10, Opinion::kPositive, 50);
-  b.cast(11, Opinion::kNegative, 55);
-
-  EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
-  wire_encounter(e.a, e.b, 100);
-  a.cast(12, Opinion::kPositive, 150);
-
-  // PR 4 verdict on the forward leg, salt-routed to the digest
-  // ((salt >> 6) & 1 == 0). The sim poisons the whole leg: the fallback
-  // full is damaged too and rejects wholesale. Mirror that on the wire by
-  // damaging both frame kinds with the same (fault, salt).
+TEST(NetEngine, FaultVerdictMatchesOracle) {
+  // A transit verdict on the forward leg: the sim damages the vote list in
+  // gossip_send, the wire damages the VOTE_FULL frame above the CRC with
+  // the same (fault, salt). Both reject the leg wholesale and must end in
+  // the same state.
   const std::uint64_t salt = 3;
-  sim_encounter_faulted(*a.sim, *b.sim, 200, vote::WireFault::kCorrupted, salt);
-  wire_encounter(e.a, e.b, 200, [salt](Frame& f) {
-    if (f.type == FrameType::kVoteDigest) {
-      vote::VoteDigestMessage d;
-      ASSERT_TRUE(decode_vote_digest(f.payload, d));
-      vote::damage_digest(d, vote::WireFault::kCorrupted, salt);
-      f.payload = encode_vote_digest(d);
-    } else if (f.type == FrameType::kVoteFull) {
+  for (const auto fault :
+       {vote::WireFault::kTruncated, vote::WireFault::kCorrupted}) {
+    Twin a = make_twin(1, 61);
+    Twin b = make_twin(2, 62);
+    a.cast(10, Opinion::kPositive, 50);
+    b.cast(11, Opinion::kNegative, 55);
+
+    EnginePair e(a, b);
+    vote::vote_exchange(*a.sim, *b.sim, 100);
+    wire_encounter(e.a, e.b, 100);
+    a.cast(12, Opinion::kPositive, 150);
+
+    sim_encounter_faulted(*a.sim, *b.sim, 200, fault, salt);
+    wire_encounter(e.a, e.b, 200, [fault, salt](Frame& f) {
+      if (f.type != FrameType::kVoteFull) return;
       vote::VoteListMessage m;
       ASSERT_TRUE(decode_vote_full(f.payload, m));
-      vote::damage_message(m, vote::WireFault::kCorrupted, salt);
+      vote::damage_message(m, fault, salt);
       f.payload = encode_vote_full(m);
-    }
-  });
+    });
 
-  expect_twins_match(a, b);
-  EXPECT_EQ(e.b.counters().fallbacks_requested, 1u);
-  EXPECT_EQ(e.b.counters().votes_rejected, 1u);  // same accounting as PR 4
-}
-
-TEST(NetEngine, DeltaRoutedFaultVerdictMatchesOracle) {
-  Twin a = make_twin(1, 71);
-  Twin b = make_twin(2, 72);
-  a.cast(10, Opinion::kPositive, 50);
-  b.cast(11, Opinion::kNegative, 55);
-
-  EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
-  wire_encounter(e.a, e.b, 100);
-  a.cast(12, Opinion::kPositive, 150);  // ensures a non-empty delta
-
-  const std::uint64_t salt = 64 + 5;  // bit 6 set: fault routes to the delta
-  sim_encounter_faulted(*a.sim, *b.sim, 200, vote::WireFault::kCorrupted, salt);
-  wire_encounter(e.a, e.b, 200, [salt](Frame& f) {
-    if (f.type != FrameType::kVoteDelta) return;
-    vote::VoteDeltaMessage d;
-    ASSERT_TRUE(decode_vote_delta(f.payload, d));
-    vote::damage_delta(d, vote::WireFault::kCorrupted, salt);
-    f.payload = encode_vote_delta(d);
-  });
-
-  expect_twins_match(a, b);
-  EXPECT_EQ(e.b.counters().votes_rejected, 1u);
-  EXPECT_EQ(e.b.counters().fallbacks_requested, 0u);
+    expect_twins_match(a, b);
+    EXPECT_EQ(e.b.counters().votes_rejected, 1u);
+  }
 }
 
 TEST(NetEngine, VoxPopuliBootstrapMatchesOracle) {
@@ -390,7 +289,6 @@ TEST(NetEngine, RepeatedEncountersStayBitIdentical) {
   }
   EXPECT_EQ(e.a.counters().encounters_completed, 20u);
   EXPECT_EQ(e.b.counters().encounters_served, 20u);
-  EXPECT_GT(e.a.counters().open_digest, 0u);
 }
 
 // ---- protocol-error handling -----------------------------------------------
@@ -400,11 +298,11 @@ TEST(NetEngine, OutOfStateFramesAreFatal) {
   Twin b = make_twin(2, 212);
   EnginePair e(a, b);
 
-  // A delta-request with no encounter open is a protocol error.
+  // A vote list with no encounter open is a protocol error.
   Frame f;
-  f.type = FrameType::kVoteDeltaRequest;
+  f.type = FrameType::kVoteFull;
   f.channel = 0;
-  f.payload = encode_delta_request({0});
+  f.payload = encode_vote_full(vote::VoteListMessage{});
   std::vector<Frame> out;
   EXPECT_FALSE(e.b.on_frame(f, out));
   EXPECT_EQ(e.b.counters().protocol_errors, 1u);

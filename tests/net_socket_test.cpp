@@ -107,8 +107,8 @@ TEST(NetSocket, TcpSessionStateMatchesSimOracle) {
   EXPECT_EQ(svc_a.peer_of(ca), 2u);
   EXPECT_EQ(svc_b.peer_of(cb), 1u);
 
-  // Three encounters with casts in between — cold full, warm delta,
-  // digest-only steady state, all over the real socket.
+  // Three encounters with casts in between — cold, after new casts, and
+  // unchanged (a signature-cache hit), all over the real socket.
   const Time times[] = {100, 200, 300};
   for (int round = 0; round < 3; ++round) {
     if (round == 1) {
@@ -128,7 +128,6 @@ TEST(NetSocket, TcpSessionStateMatchesSimOracle) {
   // The tentpole claim: byte-identical protocol state on both paths.
   EXPECT_EQ(a.sim->state_digest(), a.wire->state_digest());
   EXPECT_EQ(b.sim->state_digest(), b.wire->state_digest());
-  EXPECT_GT(svc_b.engine_counters(cb)->open_digest, 0u);
 
   // Quiescence: BYE both ways, then close.
   svc_b.send_bye(cb);

@@ -1,11 +1,10 @@
-// Vote-history cache + digest-first delta gossip (perf PR tentpole).
+// Vote-history signature cache and the vote hot path.
 //
-// Covers: vote-list version semantics, cache hit/invalidation/off, the
-// partial-selection rewrite against a reference full sort, the digest
-// codec, delta-vs-full semantic equivalence, deterministic counterpart
-// eviction, the incremental BallotBox tally against an O(n) recompute, and
-// wire-fault behaviour of every gossip frame (damaged digest → full
-// fallback, damaged delta/full → wholesale rejection, nothing merged).
+// Covers: vote-list version semantics, cache hit/invalidation/off, cache
+// on vs off state identity, the partial-selection rewrite against a
+// reference full sort, the incremental BallotBox tally against an O(n)
+// recompute, and wire-fault behaviour of a vote-list leg (a damaged
+// message rejects wholesale, nothing merged).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -213,34 +212,7 @@ TEST(VoteHistoryCache, BypassedWhenSelectionIsStochastic) {
   EXPECT_EQ(p.agent->gossip_stats().signatures, 2u);
 }
 
-// ---- digest codec ----------------------------------------------------------
-
-TEST(DigestCodec, RoundTripAndDamageDetection) {
-  VoteConfig config;
-  Peer p = make_peer(1, config, 14);
-  for (ModeratorId m = 0; m < 8; ++m) {
-    p.agent->cast_vote(m, Opinion::kPositive, static_cast<Time>(m + 1));
-  }
-  const auto full = p.agent->outgoing_votes(10);
-  VoteDigestMessage digest = make_digest(full);
-  EXPECT_TRUE(digest_intact(digest));
-  ASSERT_EQ(digest.entries.size(), full.votes.size());
-  for (std::size_t i = 0; i < full.votes.size(); ++i) {
-    EXPECT_EQ(digest.entries[i].moderator, full.votes[i].moderator);
-    EXPECT_EQ(digest.entries[i].check, entry_check(full.votes[i]));
-  }
-
-  VoteDigestMessage corrupted = digest;
-  damage_digest(corrupted, WireFault::kCorrupted, 9);
-  EXPECT_FALSE(digest_intact(corrupted));
-  VoteDigestMessage truncated = digest;
-  damage_digest(truncated, WireFault::kTruncated, 9);
-  EXPECT_FALSE(digest_intact(truncated));
-  // The digest is strictly smaller than the payload it stands in for.
-  EXPECT_LT(wire_size(digest), wire_size(full));
-}
-
-// ---- delta exchange: semantic equivalence ----------------------------------
+// ---- cache on vs off -------------------------------------------------------
 
 /// Drive `rounds` mutual exchanges between a and b via gossip_send.
 void run_exchanges(Peer& a, Peer& b, int rounds, Time start) {
@@ -251,7 +223,7 @@ void run_exchanges(Peer& a, Peer& b, int rounds, Time start) {
   }
 }
 
-TEST(DeltaExchange, StateIdenticalToFullExchangeAndCheaper) {
+TEST(VoteHistoryCache, StateIdenticalWithCacheOffAndSignsLess) {
   VoteConfig on;   // gossip_cache defaults on
   VoteConfig off;
   off.gossip_cache = false;
@@ -280,6 +252,7 @@ TEST(DeltaExchange, StateIdenticalToFullExchangeAndCheaper) {
       EXPECT_EQ(it->second.positive, t.positive);
       EXPECT_EQ(it->second.negative, t.negative);
     }
+    EXPECT_EQ(pair_on->agent->state_digest(), pair_off->agent->state_digest());
   }
   // ...and the cached pair did strictly less signing.
   EXPECT_LT(a_on.agent->gossip_stats().signatures,
@@ -287,81 +260,7 @@ TEST(DeltaExchange, StateIdenticalToFullExchangeAndCheaper) {
   EXPECT_GT(a_on.agent->gossip_stats().cache_hits, 0u);
 }
 
-TEST(DeltaExchange, SteadyStateShipsDigestOnlyAndFewerBytes) {
-  VoteConfig config;
-  Peer a = make_peer(1, config, 31), b = make_peer(2, config, 32);
-  // A digest leg pays fixed overhead (checksum + empty request frame), so
-  // it only undercuts the full list past the break-even size of ~7
-  // entries; use a realistic list, not a single vote.
-  for (ModeratorId m = 0; m < 10; ++m) {
-    a.agent->cast_vote(m, Opinion::kPositive, static_cast<Time>(m + 1));
-  }
-  b.agent->cast_vote(99, Opinion::kNegative, 2);
-
-  const auto first = gossip_send(*a.agent, *b.agent, 10);
-  EXPECT_FALSE(first.delta);  // unknown counterpart → full message
-  (void)gossip_send(*b.agent, *a.agent, 10);
-
-  const auto second = gossip_send(*a.agent, *b.agent, 20);
-  EXPECT_TRUE(second.delta);
-  EXPECT_EQ(second.result, ReceiveResult::kAccepted);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.signatures, 0u);  // digest covered everything
-  EXPECT_LT(second.bytes, first.bytes);
-}
-
-TEST(DeltaExchange, ShipsOnlyMissingEntriesAfterNewCast) {
-  VoteConfig config;
-  Peer a = make_peer(1, config, 33), b = make_peer(2, config, 34);
-  for (ModeratorId m = 0; m < 40; ++m) {
-    a.agent->cast_vote(m, Opinion::kPositive, static_cast<Time>(m + 1));
-  }
-  (void)gossip_send(*a.agent, *b.agent, 50);
-  (void)gossip_send(*b.agent, *a.agent, 50);
-  a.agent->cast_vote(99, Opinion::kNegative, 60);  // one new vote
-
-  const auto leg = gossip_send(*a.agent, *b.agent, 70);
-  EXPECT_TRUE(leg.delta);
-  EXPECT_EQ(leg.result, ReceiveResult::kAccepted);
-  EXPECT_EQ(leg.signatures, 2u);  // new message + one-entry delta
-  // Digest (41 entries) + request + 1-entry delta < 41-entry full list.
-  // (The delta path's fixed overhead means it needs a list comfortably
-  // past break-even — n > 20 + 5·missing — to pay off; 41 entries is the
-  // fig6 regime, where the old protocol would re-ship all 41.)
-  EXPECT_LT(leg.bytes, kFrameHeaderBytes + kSignatureBytes +
-                           41 * kVoteEntryBytes);
-  const auto& tally = b.agent->ballot_box().tally();
-  const auto it = tally.find(99);
-  ASSERT_NE(it, tally.end());
-  EXPECT_EQ(it->second.negative, 1u);
-}
-
-// ---- counterpart memory ----------------------------------------------------
-
-TEST(CounterpartMemory, EvictsLeastRecentDeterministically) {
-  CounterpartMemory mem(3);
-  mem.note(1);
-  mem.note(2);
-  mem.note(3);
-  mem.note(1);  // refresh 1 → eviction order is now 2, 3, 1
-  mem.note(4);  // evicts 2
-  EXPECT_FALSE(mem.known(2));
-  EXPECT_TRUE(mem.known(1));
-  EXPECT_TRUE(mem.known(3));
-  EXPECT_TRUE(mem.known(4));
-  mem.note(5);  // evicts 3
-  EXPECT_FALSE(mem.known(3));
-  EXPECT_EQ(mem.size(), 3u);
-}
-
-TEST(CounterpartMemory, ZeroCapacityNeverKnows) {
-  CounterpartMemory mem(0);
-  mem.note(1);
-  EXPECT_FALSE(mem.known(1));
-  EXPECT_EQ(mem.size(), 0u);
-}
-
-// ---- wire faults over the gossip frames ------------------------------------
+// ---- wire faults over a vote-list leg --------------------------------------
 
 std::size_t box_size(const Peer& p) { return p.agent->ballot_box().size(); }
 
@@ -374,75 +273,6 @@ TEST(GossipFaults, DamagedFullMessageRejectsWholesale) {
     EXPECT_EQ(leg.result, ReceiveResult::kBadSignature);
     EXPECT_EQ(box_size(b), 0u);  // nothing merged, box not poisoned
   }
-}
-
-TEST(GossipFaults, DamagedDigestFallsBackToFullAndStillRejects) {
-  VoteConfig config;
-  Peer a = make_peer(1, config, 43), b = make_peer(2, config, 44);
-  a.agent->cast_vote(5, Opinion::kPositive, 1);
-  (void)gossip_send(*a.agent, *b.agent, 10);  // prime counterpart memory
-  const std::size_t before = box_size(b);
-
-  // salt with bit 6 clear routes the damage to the digest frame.
-  const std::uint64_t digest_salt = 0x0;
-  const auto leg =
-      gossip_send(*a.agent, *b.agent, 20, WireFault::kCorrupted, digest_salt);
-  EXPECT_TRUE(leg.fallback_full);
-  EXPECT_FALSE(leg.delta);
-  EXPECT_EQ(leg.result, ReceiveResult::kBadSignature);
-  EXPECT_EQ(box_size(b), before);
-}
-
-TEST(GossipFaults, DamagedDeltaRejectsEvenWhenNothingWasMissing) {
-  VoteConfig config;
-  Peer a = make_peer(1, config, 45), b = make_peer(2, config, 46);
-  a.agent->cast_vote(5, Opinion::kPositive, 1);
-  (void)gossip_send(*a.agent, *b.agent, 10);
-  const std::size_t before = box_size(b);
-
-  // salt with bit 6 set routes the damage to the delta frame; the sender
-  // must ship a (damaged) delta even though the digest covers everything,
-  // so the leg rejects exactly like a damaged full exchange would.
-  const std::uint64_t delta_salt = 0x40;
-  for (const auto fault : {WireFault::kTruncated, WireFault::kCorrupted}) {
-    const auto leg = gossip_send(*a.agent, *b.agent, 20, fault, delta_salt);
-    EXPECT_TRUE(leg.delta);
-    EXPECT_EQ(leg.result, ReceiveResult::kBadSignature);
-    EXPECT_EQ(box_size(b), before);
-  }
-}
-
-TEST(GossipFaults, ForgedDeltaBindingRejects) {
-  VoteConfig config;
-  Peer a = make_peer(1, config, 47), b = make_peer(2, config, 48);
-  for (ModeratorId m = 0; m < 4; ++m) {
-    a.agent->cast_vote(m, Opinion::kPositive, static_cast<Time>(m + 1));
-  }
-  const auto full = a.agent->outgoing_votes(10);
-  const VoteDigestMessage digest = make_digest(full);
-  const auto missing = b.agent->scan_digest(digest);
-  ASSERT_EQ(missing.size(), full.votes.size());
-  VoteDeltaMessage delta = a.agent->build_delta(full, missing);
-
-  // Tamper with one carried vote: the per-entry pin to the digest line (or
-  // failing that, the signature) must reject the whole frame.
-  VoteDeltaMessage tampered = delta;
-  tampered.votes[1].opinion = Opinion::kNegative;
-  EXPECT_EQ(b.agent->receive_delta(digest, &tampered, 20),
-            ReceiveResult::kBadSignature);
-  // Wrong binding checksum.
-  VoteDeltaMessage rebound = delta;
-  rebound.bound_checksum ^= 1;
-  EXPECT_EQ(b.agent->receive_delta(digest, &rebound, 20),
-            ReceiveResult::kBadSignature);
-  // Missing entries but no delta frame at all.
-  EXPECT_EQ(b.agent->receive_delta(digest, nullptr, 20),
-            ReceiveResult::kBadSignature);
-  EXPECT_EQ(box_size(b), 0u);
-  // The untampered frame is accepted.
-  EXPECT_EQ(b.agent->receive_delta(digest, &delta, 20),
-            ReceiveResult::kAccepted);
-  EXPECT_EQ(box_size(b), full.votes.size());
 }
 
 }  // namespace
